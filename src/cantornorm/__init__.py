@@ -12,9 +12,9 @@ orbit, and discrepancy tooling come along for the ride.
 from .cantor import (BasicSequence, CantorDigits, DyadicValue, cantor_digits,
                      cantor_value, orbit, shift, value_of_bits)
 from .construction import (BlockChoice, BoundCheck, BoundReport, LimitFunction,
-                           StageFunction, StageSnapshot, basic_sequence_from,
-                           block_of, build_stage_function, limit_function,
-                           stage_trace, stages_covering, verify_bound)
+                           StageFunction, basic_sequence_from, block_of,
+                           build_stage_function, limit_function, stage_trace,
+                           stages_covering, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import (BitGenerator, ChampernowneBits, ConstantBits, Oracle,
                          OracleBits, PeriodicBits, RationalBits, TableBits,
@@ -35,7 +35,7 @@ __all__ = [
     "ConstantBits", "ConstantHalt", "DyadicValue", "FrequencyReport",
     "HaltRule", "LimitFunction", "LinearHalt", "NonNormalityReport", "Oracle",
     "OracleBits", "PeriodicBits", "ProgramEntry", "RationalBits", "Registry",
-    "ResourceLimitError", "StageFunction", "StageSnapshot", "TableBits",
+    "ResourceLimitError", "StageFunction", "TableBits",
     "TableHalt", "WitnessReport", "basic_sequence_from", "block_of",
     "build_stage_function", "cantor_digits", "cantor_value",
     "champernowne_bits", "champernowne_digit", "generator_from_config",

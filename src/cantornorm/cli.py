@@ -12,13 +12,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
-from .cantor import cantor_digits, cantor_value, orbit
+from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
 from .construction import (basic_sequence_from, block_of, limit_function,
-                           stage_trace, stages_covering)
+                           require_registry_depth, stage_trace,
+                           stages_covering)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import interval_frequency, non_normality_report, star_discrepancy, witness_check
@@ -38,39 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated common options of one invocation."""
-
-    registry_path: Path | None
-    oracle_path: Path | None
-    stages: int | None
-    max_position: int | None
-    fmt: str
-    out: Path | None
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    stages = getattr(args, "stages", None)
-    if stages is not None and stages < 1:
+def _registry(args: argparse.Namespace) -> Registry:
+    if args.stages is not None and args.stages < 1:
         raise ConfigError("--stages must be >= 1")
-    max_position = getattr(args, "max_pos", None)
-    if max_position is not None and max_position < 0:
-        raise ConfigError("--max-pos must be >= 0")
-    return RunConfig(
-        registry_path=Path(args.registry) if getattr(args, "registry", None) else None,
-        oracle_path=Path(args.oracle) if getattr(args, "oracle", None) else None,
-        stages=stages,
-        max_position=max_position,
-        fmt=getattr(args, "format", "json"),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-    )
-
-
-def _registry(cfg: RunConfig) -> Registry:
-    if cfg.registry_path is None:
+    if not args.registry:
         raise ConfigError("--registry is required for this command")
-    return Registry.from_file(cfg.registry_path, oracle_path=cfg.oracle_path)
+    return Registry.from_file(args.registry, oracle_path=args.oracle or None)
 
 
 def _frac(x: Fraction) -> str:
@@ -87,255 +61,235 @@ def _parse_unit_fraction(text: str) -> Fraction:
     return value
 
 
-def _check_explicit_stages(cfg: RunConfig, registry: Registry, position: int) -> None:
-    if cfg.stages is None:
+def _check_explicit_stages(args: argparse.Namespace, registry: Registry,
+                           position: int) -> None:
+    """An explicit --stages must cover `position` and fit the registry."""
+    if args.stages is None:
         return
-    if 3 ** cfg.stages <= position:
-        required = stages_covering(position)
+    required = stages_covering(position)
+    if args.stages < required:
         raise ResourceLimitError(
             f"positions through {position} need {required} stages, "
-            f"got {cfg.stages}", required_stages=required)
-    if cfg.stages > len(registry):
-        raise ConfigError(
-            f"{cfg.stages} stages need {cfg.stages} registry entries, "
-            f"have {len(registry)}")
+            f"got {args.stages}", required_stages=required)
+    require_registry_depth(registry, args.stages)
 
 
-def _emit(cfg: RunConfig, payload: dict, csv_table: tuple[list, list]) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        header, rows = csv_table
-        buf = io.StringIO()
-        buf.write(f"# format={payload['format']}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if cfg.out is None:
+def _emit(args: argparse.Namespace, tag: str, header: list[str],
+          rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
+    """Write a command's output in the requested format, building only that
+    rendering: `rows` are the CSV rows under `header`, `fields()` returns the
+    JSON object's fields. Both draw on the same records; `rows` may be a
+    one-pass iterator that `fields` reads too.
+    """
+    # Python caps int->str conversion at 4,300 digits to guard the parsing of
+    # untrusted text. Inputs were parsed under that cap before this point;
+    # computed values, such as an expansion's exact sum or a wide base, may
+    # pass it and are still rendered in full.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            text = json.dumps({"format": tag, **fields()}, indent=2,
+                              sort_keys=True) + "\n"
+        else:
+            buf = io.StringIO()
+            buf.write(f"# format={tag}\n")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            text = buf.getvalue()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if not args.out:
         sys.stdout.write(text)
-    else:
-        cfg.out.write_text(text)
+        return
+    try:
+        Path(args.out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+
+
+BUILD_HEADER = ["position", "value", "block", "chosen_bit", "certificate",
+                "q_exponent"]
+POSITION_KEYS = BUILD_HEADER[:5]  # the JSON positions omit q_exponent
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    if cfg.stages is None:
+    if args.stages is None:
         raise ConfigError("--stages is required for build")
-    registry = _registry(cfg)
-    max_position = (cfg.max_position if cfg.max_position is not None
-                    else 3 ** cfg.stages - 1)
-    _check_explicit_stages(cfg, registry, max_position)
+    if args.max_pos is not None and args.max_pos < 0:
+        raise ConfigError("--max-pos must be >= 0")
+    if args.trace is not None:
+        if args.format != "json":
+            raise ConfigError("--trace is only available with --format json")
+        if args.trace < 1:
+            raise ConfigError("--trace must be >= 1")
+    registry = _registry(args)
+    # S stages always cover the default window [0, 3**S - 1], so it needs only
+    # the registry check, made before 3**S is computed so that a huge S is
+    # refused at once rather than after building that power
+    _check_explicit_stages(args, registry, args.max_pos or 0)
+    max_position = (args.max_pos if args.max_pos is not None
+                    else 3 ** args.stages - 1)
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
     exponents = q.exponents
 
-    positions = []
-    for p in range(max_position + 1):
+    def row(p: int) -> tuple:
         t = block_of(p)
-        positions.append({
-            "position": p,
-            "value": f.values[p],
-            "block": t,
-            "chosen_bit": None if t is None else f.blocks[t].chosen_bit,
-            "certificate": f.certificates[p],
-        })
-    payload = {
-        "format": BUILD_FORMAT,
-        "stages": cfg.stages,
-        "stage_budget": f.stage_budget,
-        "max_position": max_position,
-        "positions": positions,
-        "q_exponents": list(exponents),
-        "q": list(q.bases),
-    }
-    if args.trace is not None:
-        if cfg.fmt != "json":
-            raise ConfigError("--trace is only available with --format json")
-        if args.trace < 1:
-            raise ConfigError("--trace must be >= 1")
-        snapshots = stage_trace(registry, max_position, range(1, args.trace + 1))
-        payload["trace"] = [{"stage": s.stage, "values": list(s.values)}
-                            for s in snapshots]
+        return (p, f.values[p], t,
+                None if t is None else f.blocks[t].chosen_bit,
+                f.certificates[p], exponents[p] if p < max_position else None)
 
-    header = ["position", "value", "block", "chosen_bit", "certificate",
-              "q_exponent"]
-    rows = []
-    for p in range(max_position + 1):
-        t = block_of(p)
-        rows.append([p, f.values[p],
-                     "" if t is None else t,
-                     "" if t is None else f.blocks[t].chosen_bit,
-                     f.certificates[p],
-                     exponents[p] if p < max_position else ""])
-    _emit(cfg, payload, (header, rows))
+    rows = map(row, range(max_position + 1))
+
+    def fields() -> dict:
+        payload = {
+            "stages": args.stages,
+            "stage_budget": f.stage_budget,
+            "max_position": max_position,
+            "positions": [dict(zip(POSITION_KEYS, r)) for r in rows],
+            "q_exponents": list(exponents),
+            "q": list(q.bases),
+        }
+        if args.trace is not None:
+            payload["trace"] = [
+                {"stage": s.stage, "values": list(s.values)}
+                for s in stage_trace(registry, max_position,
+                                     range(1, args.trace + 1))]
+        return payload
+
+    _emit(args, BUILD_FORMAT, BUILD_HEADER, rows, fields)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    if cfg.stages is None:
+    if args.stages is None:
         raise ConfigError("--stages is required for verify")
-    registry = _registry(cfg)
-    top = 3 ** cfg.stages - 1
-    _check_explicit_stages(cfg, registry, top)
-    f = limit_function(registry, top)
-    witnesses = [witness_check(registry, e, f) for e in range(cfg.stages)]
+    registry = _registry(args)
+    require_registry_depth(registry, args.stages)
+    f = limit_function(registry, 3 ** args.stages - 1)
+    witnesses = [witness_check(registry, e, f) for e in range(args.stages)]
     sources = []
     for root, group in sorted(registry.alias_groups().items()):
-        checkpoints = [i for i in group if i < cfg.stages]
+        checkpoints = [i for i in group if i < args.stages]
         if checkpoints:
             sources.append(non_normality_report(registry, root, f, checkpoints))
     all_passed = (all(w.passed for w in witnesses)
                   and all(r.non_normal for r in sources))
 
-    payload = {
-        "format": VERIFY_FORMAT,
-        "stages": cfg.stages,
-        "all_passed": all_passed,
-        "witnesses": [
-            {"program_index": w.program_index, "checkpoint": w.checkpoint,
-             "chosen_bit": w.chosen_bit, "low_count": w.low_count,
-             "fraction_low": _frac(w.fraction_low),
-             "fraction_high": _frac(w.fraction_high), "passed": w.passed}
-            for w in witnesses],
-        "non_normality": [
-            {"source_index": r.source_index, "non_normal": r.non_normal,
-             "checkpoints": [
-                 {"index": c.index, "checkpoint": c.checkpoint,
-                  "chosen_bit": c.chosen_bit,
-                  "fraction_low": _frac(c.fraction_low),
-                  "deviation": _frac(c.deviation),
-                  "witness_passed": c.witness_passed,
-                  "orbit_fraction_low": (None if c.orbit_fraction_low is None
-                                         else _frac(c.orbit_fraction_low)),
-                  "orbit_agrees": c.orbit_agrees}
-                 for c in r.records]}
-            for r in sources],
-    }
+    witness_records = [
+        {"program_index": w.program_index, "checkpoint": w.checkpoint,
+         "chosen_bit": w.chosen_bit, "low_count": w.low_count,
+         "fraction_low": _frac(w.fraction_low),
+         "fraction_high": _frac(w.fraction_high), "passed": w.passed}
+        for w in witnesses]
+    source_records = [
+        {"source_index": r.source_index, "non_normal": r.non_normal,
+         "checkpoints": [
+             {"index": c.index, "checkpoint": c.checkpoint,
+              "chosen_bit": c.chosen_bit,
+              "fraction_low": _frac(c.fraction_low),
+              "deviation": _frac(c.deviation),
+              "witness_passed": c.witness_passed,
+              "orbit_fraction_low": (None if c.orbit_fraction_low is None
+                                     else _frac(c.orbit_fraction_low)),
+              "orbit_agrees": c.orbit_agrees}
+             for c in r.records]}
+        for r in sources]
 
-    by_index = {w.program_index: w for w in witnesses}
-    header = ["program_index", "source_index", "checkpoint", "chosen_bit",
-              "fraction_low", "fraction_high", "deviation", "witness_passed",
-              "orbit_agrees"]
-    rows = []
-    for r in sources:
-        for c in r.records:
-            w = by_index[c.index]
-            rows.append([c.index, r.source_index, c.checkpoint, c.chosen_bit,
-                         _frac(c.fraction_low), _frac(w.fraction_high),
-                         _frac(c.deviation), c.witness_passed,
-                         "" if c.orbit_agrees is None else c.orbit_agrees])
-    rows.sort(key=lambda row: row[0])
-    _emit(cfg, payload, (header, rows))
+    rows = sorted(
+        ((c["index"], s["source_index"], c["checkpoint"], c["chosen_bit"],
+          c["fraction_low"], witness_records[c["index"]]["fraction_high"],
+          c["deviation"], c["witness_passed"], c["orbit_agrees"])
+         for s in source_records for c in s["checkpoints"]),
+        key=lambda row: row[0])
+    _emit(args, VERIFY_FORMAT,
+          ["program_index", "source_index", "checkpoint", "chosen_bit",
+           "fraction_low", "fraction_high", "deviation", "witness_passed",
+           "orbit_agrees"],
+          rows,
+          lambda: {"stages": args.stages, "all_passed": all_passed,
+                   "witnesses": witness_records,
+                   "non_normality": source_records})
     return 0 if all_passed else 3
 
 
-def _constructed_bases(cfg: RunConfig, registry: Registry, length: int):
-    _check_explicit_stages(cfg, registry, length)
+def _orbit_request(args: argparse.Namespace,
+                   least_count: int) -> tuple[Fraction, BasicSequence]:
+    """Parse X, check COUNT, and build the bases an expand/orbit/discrepancy
+    request consumes: COUNT - least_count of them, since discrepancy's COUNT
+    counts orbit points (at least one), one more than the steps between them.
+    """
+    registry = _registry(args)
+    x = _parse_unit_fraction(args.x)
+    if args.count < least_count:
+        raise ConfigError(f"count must be >= {least_count}")
+    length = args.count - least_count
+    _check_explicit_stages(args, registry, length)
     f = limit_function(registry, length)
-    return basic_sequence_from(f, length)
+    return x, basic_sequence_from(f, length)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    registry = _registry(cfg)
-    x = _parse_unit_fraction(args.x)
-    n = args.count
-    if n < 0:
-        raise ConfigError("count must be >= 0")
-    q = _constructed_bases(cfg, registry, n)
-    digits = cantor_digits(x, q, n)
-    payload = {
-        "format": EXPAND_FORMAT,
-        "x": _frac(x),
-        "count": n,
-        "q": list(q.bases),
-        "q_exponents": list(q.exponents),
-        "digits": list(digits.digits),
-        "value": _frac(cantor_value(digits)),
-    }
-    header = ["index", "digit", "q"]
-    rows = [[i, a, q.bases[i]] for i, a in enumerate(digits.digits)]
-    _emit(cfg, payload, (header, rows))
+    x, q = _orbit_request(args, 0)
+    digits = cantor_digits(x, q, args.count)
+    _emit(args, EXPAND_FORMAT, ["index", "digit", "q"],
+          ((i, a, q.bases[i]) for i, a in enumerate(digits.digits)),
+          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
+                   "q_exponents": list(q.exponents),
+                   "digits": list(digits.digits),
+                   "value": _frac(cantor_value(digits))})
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    registry = _registry(cfg)
-    x = _parse_unit_fraction(args.x)
-    n = args.count
-    if n < 0:
-        raise ConfigError("count must be >= 0")
-    q = _constructed_bases(cfg, registry, n)
-    points = orbit(x, q, n)
-    payload = {
-        "format": ORBIT_FORMAT,
-        "x": _frac(x),
-        "count": n,
-        "q": list(q.bases),
-        "points": [_frac(y) for y in points],
-    }
-    header = ["index", "point"]
-    rows = [[i, _frac(y)] for i, y in enumerate(points)]
-    _emit(cfg, payload, (header, rows))
+    x, q = _orbit_request(args, 0)
+    points = [_frac(y) for y in orbit(x, q, args.count)]
+    _emit(args, ORBIT_FORMAT, ["index", "point"], enumerate(points),
+          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
+                   "points": points})
     return 0
 
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    registry = _registry(cfg)
-    x = _parse_unit_fraction(args.x)
-    n = args.count
-    if n < 1:
-        raise ConfigError("count must be >= 1")
-    q = _constructed_bases(cfg, registry, n - 1)
-    points = orbit(x, q, n - 1)
-    star = star_discrepancy(points)
-    frequencies = []
-    for k in range(1, 5):
-        for j in range(2 ** k):
-            frequencies.append(interval_frequency(
-                points, Fraction(j, 2 ** k), Fraction(j + 1, 2 ** k)))
-    payload = {
-        "format": DISCREPANCY_FORMAT,
-        "x": _frac(x),
-        "count": n,
-        "q": list(q.bases),
-        "points": [_frac(y) for y in points],
-        "star_discrepancy": _frac(star),
-        "star_discrepancy_decimal": float(star),
-        "frequencies": [
-            {"lo": _frac(r.lo), "hi": _frac(r.hi), "hits": r.hits,
-             "fraction": _frac(r.fraction)}
-            for r in frequencies],
-    }
-    header = ["record", "index", "lo", "hi", "hits", "value"]
-    rows = [["point", i, "", "", "", _frac(y)] for i, y in enumerate(points)]
-    rows += [["frequency", "", _frac(r.lo), _frac(r.hi), r.hits,
-              _frac(r.fraction)] for r in frequencies]
-    rows.append(["star_discrepancy", "", "", "", "", _frac(star)])
-    _emit(cfg, payload, (header, rows))
+    x, q = _orbit_request(args, 1)
+    orbit_points = orbit(x, q, args.count - 1)
+    star = star_discrepancy(orbit_points)
+    frequencies = [
+        {"lo": _frac(r.lo), "hi": _frac(r.hi), "hits": r.hits,
+         "fraction": _frac(r.fraction)}
+        for r in (interval_frequency(orbit_points, Fraction(j, 2 ** k),
+                                     Fraction(j + 1, 2 ** k))
+                  for k in range(1, 5) for j in range(2 ** k))]
+    points = [_frac(y) for y in orbit_points]
+
+    def rows():
+        # a generator, so that `star`, whose denominator may pass the digit
+        # cap that `_emit` lifts, is rendered only there
+        for i, y in enumerate(points):
+            yield ("point", i, None, None, None, y)
+        for r in frequencies:
+            yield ("frequency", None, r["lo"], r["hi"], r["hits"], r["fraction"])
+        yield ("star_discrepancy", None, None, None, None, _frac(star))
+
+    _emit(args, DISCREPANCY_FORMAT,
+          ["record", "index", "lo", "hi", "hits", "value"], rows(),
+          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
+                   "points": points, "star_discrepancy": _frac(star),
+                   "star_discrepancy_decimal": float(star),
+                   "frequencies": frequencies})
     return 0
 
 
 def cmd_champernowne(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     if args.base < 2:
         raise ConfigError("base must be >= 2")
     if args.count < 0:
         raise ConfigError("count must be >= 0")
     digits = champernowne_bits(args.base, args.count)
-    payload = {
-        "format": CHAMPERNOWNE_FORMAT,
-        "base": args.base,
-        "count": args.count,
-        "digits": digits,
-    }
-    header = ["index", "digit"]
-    rows = [[i, d] for i, d in enumerate(digits)]
-    _emit(cfg, payload, (header, rows))
+    _emit(args, CHAMPERNOWNE_FORMAT, ["index", "digit"], enumerate(digits),
+          lambda: {"base": args.base, "count": args.count, "digits": digits})
     return 0
 
 

@@ -37,19 +37,12 @@ class BlockChoice:
 
 @dataclass(frozen=True)
 class StageFunction:
-    """One stage run: strictly increasing values on [0, 3**stage)."""
+    """One stage run: strictly increasing values on [0, 3**stage), or on the
+    window `stage_trace` restricts them to."""
 
     stage: int
     values: tuple[int, ...]
     blocks: tuple[BlockChoice, ...]
-
-
-@dataclass(frozen=True)
-class StageSnapshot:
-    """A stage run's values restricted to a position window."""
-
-    stage: int
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,16 +54,6 @@ class LimitFunction:
     certificates: tuple[int, ...]
     blocks: tuple[BlockChoice, ...]
     stage_budget: int
-
-
-def stages_covering(position: int) -> int:
-    """Smallest stage count whose domain [0, 3**stages) contains `position`."""
-    if position < 0:
-        raise ValueError("position must be >= 0")
-    stages = 0
-    while 3 ** stages <= position:
-        stages += 1
-    return stages
 
 
 def block_of(position: int) -> int | None:
@@ -85,14 +68,34 @@ def block_of(position: int) -> int | None:
     return t
 
 
+def stages_covering(position: int) -> int:
+    """Smallest stage count whose domain [0, 3**stages) contains `position`."""
+    t = block_of(position)
+    return 0 if t is None else t + 1
+
+
+def require_registry_depth(registry: Registry, stages: int,
+                           position: int | None = None) -> None:
+    """Refuse a run of `stages` stages on a registry with fewer entries.
+
+    A stage count the caller chose is a configuration error. One derived
+    from covering `position` is a resource limit naming the stages required.
+    """
+    if stages <= len(registry):
+        return
+    if position is None:
+        raise ConfigError(
+            f"{stages} stages need {stages} registry entries, but the "
+            f"registry has {len(registry)} entries")
+    raise ResourceLimitError(
+        f"covering position {position} takes {stages} stages, but the "
+        f"registry has only {len(registry)} entries", required_stages=stages)
+
+
 def _run_stages(registry: Registry, stages: int,
                 budget: int) -> tuple[tuple[int, ...], tuple[BlockChoice, ...]]:
     if stages < 0:
         raise ValueError("stage count must be >= 0")
-    if stages > len(registry):
-        raise ConfigError(
-            f"{stages} stages consult program indices 0..{stages - 1}, but "
-            f"the registry has {len(registry)} entries")
     values = [0]
     blocks: list[BlockChoice] = []
     for t in range(stages):
@@ -110,6 +113,7 @@ def _run_stages(registry: Registry, stages: int,
 
 def build_stage_function(registry: Registry, stage: int) -> StageFunction:
     """The stage-`stage` approximation: `stage` stages at step budget stage+1."""
+    require_registry_depth(registry, stage)
     values, blocks = _run_stages(registry, stage, stage + 1)
     return StageFunction(stage, values, blocks)
 
@@ -125,11 +129,7 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
     if max_position < 0:
         raise ValueError("max_position must be >= 0")
     stages = stages_covering(max_position)
-    if stages > len(registry):
-        raise ResourceLimitError(
-            f"covering position {max_position} takes {stages} stages, but the "
-            f"registry has only {len(registry)} entries",
-            required_stages=stages)
+    require_registry_depth(registry, stages, max_position)
     horizon = 2 * (3 ** stages - 1)
     settle = max((registry.settle_budget(e, horizon) for e in range(stages)),
                  default=0)
@@ -149,25 +149,22 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
 
 
 def stage_trace(registry: Registry, max_position: int,
-                stage_indices: Iterable[int]) -> tuple[StageSnapshot, ...]:
+                stage_indices: Iterable[int]) -> tuple[StageFunction, ...]:
     """Successive stage approximations restricted to [0, max_position].
 
     Only the stages whose blocks reach max_position are run; later stages
     would extend the domain without touching the reported window, so the
     restriction is exact while staying affordable for large stage indices.
+    Each record keeps the blocks of the stages actually run.
     """
     limit_stages = stages_covering(max_position)
-    if limit_stages > len(registry):
-        raise ResourceLimitError(
-            f"covering position {max_position} takes {limit_stages} stages, "
-            f"but the registry has only {len(registry)} entries",
-            required_stages=limit_stages)
+    require_registry_depth(registry, limit_stages, max_position)
     snapshots = []
     for s in stage_indices:
         if s < 0:
             raise ValueError("stage index must be >= 0")
-        values, _ = _run_stages(registry, min(s, limit_stages), s + 1)
-        snapshots.append(StageSnapshot(s, values[:max_position + 1]))
+        values, blocks = _run_stages(registry, min(s, limit_stages), s + 1)
+        snapshots.append(StageFunction(s, values[:max_position + 1], blocks))
     return tuple(snapshots)
 
 

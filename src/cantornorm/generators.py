@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .cantor import _as_word, value_of_bits
 from .errors import ConfigError
 
 
@@ -64,15 +65,7 @@ def rational_bits(p: int, q: int, n: int) -> list[int]:
 
 def periodic_bits(pattern: Sequence[int], n: int) -> list[int]:
     """The pattern repeated and truncated to n bits."""
-    pat = tuple(pattern)
-    if not pat:
-        raise ValueError("pattern must be nonempty")
-    for b in pat:
-        if b not in (0, 1):
-            raise ValueError(f"bit out of range: {b!r}")
-    if n < 0:
-        raise ValueError("bit count must be >= 0")
-    return [pat[i % len(pat)] for i in range(n)]
+    return PeriodicBits(pattern).prefix(n)
 
 
 @dataclass(frozen=True)
@@ -83,12 +76,8 @@ class Oracle:
     default: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        for b in self.prefix:
-            if b not in (0, 1):
-                raise ValueError(f"bit out of range: {b!r}")
-        if self.default not in (0, 1):
-            raise ValueError(f"default bit out of range: {self.default!r}")
+        object.__setattr__(self, "prefix", _as_word(self.prefix))
+        _as_word((self.default,))
 
     def bit_at(self, position: int) -> int:
         if position < 0:
@@ -96,6 +85,20 @@ class Oracle:
         if position < len(self.prefix):
             return self.prefix[position]
         return self.default
+
+
+def _sorted_table(items: Mapping[int, int] | Sequence[tuple[int, int]]
+                 ) -> tuple[tuple[int, int], ...]:
+    """(position, value) pairs of a table, sorted by position; positions must
+    be distinct and >= 0."""
+    pairs = items.items() if isinstance(items, Mapping) else items
+    table = tuple(sorted((int(p), int(v)) for p, v in pairs))
+    if len({p for p, _ in table}) != len(table):
+        raise ValueError("duplicate table position")
+    for p, _ in table:
+        if p < 0:
+            raise ValueError(f"position must be >= 0, got {p}")
+    return table
 
 
 class BitGenerator(ABC):
@@ -107,6 +110,8 @@ class BitGenerator(ABC):
     def bit_at(self, position: int) -> int: ...
 
     def prefix(self, n: int) -> list[int]:
+        if n < 0:
+            raise ValueError("bit count must be >= 0")
         return [self.bit_at(p) for p in range(n)]
 
     @abstractmethod
@@ -130,8 +135,7 @@ class ConstantBits(BitGenerator):
     kind = "constant"
 
     def __post_init__(self) -> None:
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit out of range: {self.bit!r}")
+        _as_word((self.bit,))
 
     def bit_at(self, position: int) -> int:
         if position < 0:
@@ -154,12 +158,9 @@ class PeriodicBits(BitGenerator):
     kind = "periodic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pattern", tuple(self.pattern))
+        object.__setattr__(self, "pattern", _as_word(self.pattern))
         if not self.pattern:
             raise ValueError("pattern must be nonempty")
-        for b in self.pattern:
-            if b not in (0, 1):
-                raise ValueError(f"bit out of range: {b!r}")
 
     def bit_at(self, position: int) -> int:
         if position < 0:
@@ -167,10 +168,8 @@ class PeriodicBits(BitGenerator):
         return self.pattern[position % len(self.pattern)]
 
     def exact_value(self) -> Fraction:
-        numerator = 0
-        for b in self.pattern:
-            numerator = (numerator << 1) | b
-        return Fraction(numerator, 2 ** len(self.pattern) - 1)
+        word = value_of_bits(self.pattern)
+        return Fraction(word.numerator, 2 ** word.exponent - 1)
 
     def ends_in_ones(self) -> bool:
         return all(b == 1 for b in self.pattern)
@@ -188,18 +187,9 @@ class TableBits(BitGenerator):
     kind = "table"
 
     def __post_init__(self) -> None:
-        items = (self.assignments.items()
-                 if isinstance(self.assignments, Mapping) else self.assignments)
-        norm = tuple(sorted((int(p), int(b)) for p, b in items))
-        if len({p for p, _ in norm}) != len(norm):
-            raise ValueError("duplicate table position")
-        for p, b in norm:
-            if p < 0:
-                raise ValueError(f"position must be >= 0, got {p}")
-            if b not in (0, 1):
-                raise ValueError(f"bit out of range: {b!r}")
-        if self.default not in (0, 1):
-            raise ValueError(f"default bit out of range: {self.default!r}")
+        norm = _sorted_table(self.assignments)
+        _as_word(b for _, b in norm)
+        _as_word((self.default,))
         object.__setattr__(self, "assignments", norm)
 
     def bit_at(self, position: int) -> int:
@@ -282,11 +272,8 @@ class OracleBits(BitGenerator):
         return self.oracle.bit_at(position)
 
     def exact_value(self) -> Fraction:
-        numerator = 0
-        for b in self.oracle.prefix:
-            numerator = (numerator << 1) | b
-        length = len(self.oracle.prefix)
-        return Fraction(numerator + self.oracle.default, 2 ** length)
+        word = value_of_bits(self.oracle.prefix)
+        return Fraction(word.numerator + self.oracle.default, 2 ** word.exponent)
 
     def ends_in_ones(self) -> bool:
         return self.oracle.default == 1
@@ -295,11 +282,37 @@ class OracleBits(BitGenerator):
         return {}
 
 
-def _config_bit(cfg: Mapping, key: str, default: int | None = None) -> int:
+def _config_int(cfg: Mapping, key: str, default: int | None = None) -> int:
+    """An integer config value: JSON booleans, floats and strings are refused
+    rather than coerced."""
     value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_bit(cfg: Mapping, key: str, default: int | None = None) -> int:
+    value = _config_int(cfg, key, default)
     if value not in (0, 1):
         raise ConfigError(f"{key!r} must be 0 or 1, got {value!r}")
     return value
+
+
+def _config_word(cfg: Mapping, key: str,
+                 default: str | None = None) -> tuple[int, ...]:
+    """A bit word written as a string of 0/1 characters."""
+    text = cfg.get(key, default)
+    if not isinstance(text, str) or set(text) - {"0", "1"}:
+        raise ConfigError(f"{key!r} must be a string of 0/1, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _config_table(cfg: Mapping, key: str) -> dict[int, int]:
+    """A table whose keys are decimal position strings and values integers."""
+    raw = cfg.get(key, {})
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{key!r} must map positions to integers")
+    return {int(p): _config_int(raw, p) for p in raw}
 
 
 def generator_from_config(cfg: Mapping, oracle: Oracle | None = None) -> BitGenerator:
@@ -309,19 +322,13 @@ def generator_from_config(cfg: Mapping, oracle: Oracle | None = None) -> BitGene
         if kind == "constant":
             return ConstantBits(_config_bit(cfg, "bit", 0))
         if kind == "periodic":
-            pattern = cfg.get("pattern")
-            if not isinstance(pattern, str) or not pattern or set(pattern) - {"0", "1"}:
-                raise ConfigError("'pattern' must be a nonempty string of 0/1")
-            return PeriodicBits(tuple(int(c) for c in pattern))
+            return PeriodicBits(_config_word(cfg, "pattern"))
         if kind == "table":
-            raw = cfg.get("bits", {})
-            if not isinstance(raw, Mapping):
-                raise ConfigError("'bits' must map positions to bits")
-            return TableBits({int(p): b for p, b in raw.items()},
+            return TableBits(_config_table(cfg, "bits"),
                              _config_bit(cfg, "default", 0))
         if kind == "rational":
-            return RationalBits(int(cfg.get("numerator", 0)),
-                                int(cfg.get("denominator", 1)))
+            return RationalBits(_config_int(cfg, "numerator", 0),
+                                _config_int(cfg, "denominator", 1))
         if kind == "champernowne":
             return ChampernowneBits()
         if kind == "oracle-bit":

@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConfigError
-from .generators import BitGenerator, Oracle, generator_from_config
+from .generators import (BitGenerator, Oracle, _config_bit, _config_int,
+                         _config_table, _config_word, _sorted_table,
+                         generator_from_config)
 
 REGISTRY_FORMAT = "registry/1"
 
@@ -96,16 +98,9 @@ class TableHalt(HaltRule):
     rule = "table"
 
     def __post_init__(self) -> None:
-        items = (self.entries.items()
-                 if isinstance(self.entries, Mapping) else self.entries)
-        norm = tuple(sorted((int(p), int(s)) for p, s in items))
-        if len({p for p, _ in norm}) != len(norm):
-            raise ValueError("duplicate table position")
-        for p, s in norm:
-            if p < 0 or s < 0:
-                raise ValueError("positions and steps must be >= 0")
-        if self.default < 0:
-            raise ValueError("default steps must be >= 0")
+        norm = _sorted_table(self.entries)
+        if self.default < 0 or any(s < 0 for _, s in norm):
+            raise ValueError("steps must be >= 0")
         object.__setattr__(self, "entries", norm)
 
     def steps_at(self, position: int) -> int:
@@ -137,15 +132,13 @@ def halt_from_config(cfg) -> HaltRule:
     rule = cfg.get("rule")
     try:
         if rule == "constant":
-            return ConstantHalt(int(cfg.get("steps", 0)))
+            return ConstantHalt(_config_int(cfg, "steps", 0))
         if rule == "linear":
-            return LinearHalt(int(cfg.get("slope", 1)), int(cfg.get("intercept", 0)))
+            return LinearHalt(_config_int(cfg, "slope", 1),
+                              _config_int(cfg, "intercept", 0))
         if rule == "table":
-            raw = cfg.get("steps", {})
-            if not isinstance(raw, Mapping):
-                raise ConfigError("'steps' must map positions to step counts")
-            return TableHalt({int(p): s for p, s in raw.items()},
-                             int(cfg.get("default", 0)))
+            return TableHalt(_config_table(cfg, "steps"),
+                             _config_int(cfg, "default", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {rule} halting rule: {exc}") from None
     raise ConfigError(f"unknown halting rule: {rule!r}")
@@ -268,10 +261,7 @@ class Registry:
                 raise ConfigError(f"entry {pos} must be an object")
             try:
                 if "alias_of" in raw:
-                    target = raw["alias_of"]
-                    if not isinstance(target, int):
-                        raise ConfigError("alias_of must be an integer index")
-                    programs.append(target)
+                    programs.append(_config_int(raw, "alias_of"))
                 else:
                     programs.append((generator_from_config(raw, oracle),
                                      halt_from_config(raw.get("halt"))))
@@ -286,7 +276,8 @@ class Registry:
             raise ConfigError(f"registry file not found: {p}")
         try:
             cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer past Python's int->str cap
             raise ConfigError(f"registry file {p} is not valid JSON: {exc}") from None
         oracle = load_oracle_file(oracle_path) if oracle_path is not None else None
         return cls.from_config(cfg, oracle=oracle)
@@ -311,13 +302,8 @@ class Registry:
 def oracle_from_config(cfg) -> Oracle:
     if not isinstance(cfg, Mapping):
         raise ConfigError("'oracle' must be an object")
-    prefix = cfg.get("prefix", "")
-    if not isinstance(prefix, str) or set(prefix) - {"0", "1"}:
-        raise ConfigError("oracle 'prefix' must be a string of 0/1")
-    default = cfg.get("default", 0)
-    if default not in (0, 1):
-        raise ConfigError("oracle 'default' must be 0 or 1")
-    return Oracle(tuple(int(c) for c in prefix), default)
+    return Oracle(_config_word(cfg, "prefix", ""),
+                  _config_bit(cfg, "default", 0))
 
 
 def load_oracle_file(path) -> Oracle:

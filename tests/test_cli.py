@@ -261,3 +261,98 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["digits"] == [0, 1, 1, 0, 1, 1]
+
+
+class TestLongValues:
+    PERIODIC = {"entries": [{"kind": "periodic", "pattern": "01"}] * 10}
+
+    def test_expand_renders_values_past_the_digit_limit(self, registry_file,
+                                                        capsys):
+        path = registry_file(self.PERIODIC)
+        limit = sys.get_int_max_str_digits()
+        code = cli.main(["expand", "--registry", path, "22/97", "10000"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit  # lifted only to render
+        value = json.loads(out)["value"]
+        assert len(value.split("/")[1]) > 4300
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_discrepancy_renders_a_wide_star_value(self, registry_file, capsys,
+                                                   fmt):
+        # x's numerator and denominator stay within the digit limit, but its
+        # star discrepancy over four points has a 4,301-digit denominator
+        b = 10 ** 4300 - 1
+        path = registry_file(self.PERIODIC)
+        code = cli.main(["discrepancy", "--registry", path, "--format", fmt,
+                         f"{b // 2}/{b}", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        star = (out.splitlines()[-1].split(",")[-1] if fmt == "csv"
+                else json.loads(out)["star_discrepancy"])
+        assert len(star.split("/")[1]) == 4301
+
+    def test_orbit_renders_a_wide_base(self, registry_file, capsys):
+        # nine all-zero stages take positions 1..3**9 - 1 in order, so the
+        # stage-9 window opens at 3**9; a run of 2*3**9 ones there pushes
+        # f(3**9) up by that much, making base 3**9 - 1 a 11,851-digit power
+        # of two
+        start, run = 3 ** 9, 2 * 3 ** 9
+        pattern = ["0"] * (2 * run)
+        for i in range(run):
+            pattern[(start + i) % len(pattern)] = "1"
+        path = registry_file({"entries": [{"kind": "constant"}] * 9 + [
+            {"kind": "periodic", "pattern": "".join(pattern)}]})
+        code = cli.main(["orbit", "--registry", path, "1/3", str(start)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert max(map(len, out.splitlines())) > 11000  # the base, in full
+
+    def test_long_input_still_refused(self, registry_file, capsys):
+        path = registry_file(self.PERIODIC)
+        x = "1/" + "7" * 5000
+        assert cli.main(["expand", "--registry", path, x, "3"]) == 1
+        assert "error: not a rational" in capsys.readouterr().err
+
+    def test_long_registry_integer_refused(self, tmp_path, capsys):
+        path = tmp_path / "registry.json"
+        path.write_text('{"entries": [{"kind": "rational", "numerator": 1, '
+                        '"denominator": %s}]}' % ("7" * 5000))
+        assert cli.main(["build", "--registry", str(path), "--stages", "1"]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("entry", [
+        '{"kind": "constant", "halt": {"rule": "constant", "steps": 1e400}}',
+        '{"kind": "constant", "halt": {"rule": "constant", "steps": true}}',
+        '{"kind": "constant", "halt": {"rule": "linear", "slope": 1.0}}',
+        '{"kind": "constant", "halt": {"rule": "linear", "intercept": "2"}}',
+        '{"kind": "constant", "halt": {"rule": "table", "default": false}}',
+        '{"kind": "constant", "halt": {"rule": "table", "steps": {"1": 2.5}}}',
+        '{"kind": "rational", "numerator": true, "denominator": 3}',
+        '{"kind": "rational", "numerator": 1, "denominator": "3"}',
+        '{"kind": "table", "bits": {"1": true}}',
+        '{"kind": "table", "bits": {"1": 1}, "default": 0.0}',
+        '{"kind": "constant", "bit": true}',
+    ])
+    def test_non_integers_are_config_errors(self, tmp_path, capsys, entry):
+        path = tmp_path / "registry.json"
+        path.write_text('{"entries": [%s, {"kind": "constant"}]}' % entry)
+        assert cli.main(["build", "--registry", str(path), "--stages", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: entry 0: ")
+
+    def test_alias_index_must_be_integer(self, registry_file, capsys):
+        path = registry_file({"entries": [{"kind": "constant"},
+                                          {"kind": "constant"},
+                                          {"alias_of": True}]})
+        assert cli.main(["build", "--registry", path, "--stages", "1"]) == 1
+
+
+class TestOutputErrors:
+    def test_out_into_missing_directory(self, registry_file, tmp_path, capsys):
+        path = registry_file(ZERO_REGISTRY)
+        out = tmp_path / "missing" / "table.json"
+        assert cli.main(["build", "--registry", path, "--stages", "1",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
