@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -39,11 +40,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type accepting integers no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _registry(args: argparse.Namespace) -> Registry:
-    if args.stages is not None and args.stages < 1:
-        raise ConfigError("--stages must be >= 1")
-    if not args.registry:
-        raise ConfigError("--registry is required for this command")
     return Registry.from_file(args.registry, oracle_path=args.oracle or None)
 
 
@@ -78,8 +89,8 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
           rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
     """Write a command's output in the requested format, building only that
     rendering: `rows` are the CSV rows under `header`, `fields()` returns the
-    JSON object's fields. Both draw on the same records; `rows` may be a
-    one-pass iterator that `fields` reads too.
+    JSON object's fields, whose Fractions render as "p/q". Both draw on the
+    same records; `rows` may be a one-pass iterator that `fields` reads too.
     """
     # Python caps int->str conversion at 4,300 digits to guard the parsing of
     # untrusted text. Inputs were parsed under that cap before this point;
@@ -90,7 +101,7 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
     try:
         if args.format == "json":
             text = json.dumps({"format": tag, **fields()}, indent=2,
-                              sort_keys=True) + "\n"
+                              sort_keys=True, default=_frac) + "\n"
         else:
             buf = io.StringIO()
             buf.write(f"# format={tag}\n")
@@ -115,15 +126,8 @@ POSITION_KEYS = BUILD_HEADER[:5]  # the JSON positions omit q_exponent
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.stages is None:
-        raise ConfigError("--stages is required for build")
-    if args.max_pos is not None and args.max_pos < 0:
-        raise ConfigError("--max-pos must be >= 0")
-    if args.trace is not None:
-        if args.format != "json":
-            raise ConfigError("--trace is only available with --format json")
-        if args.trace < 1:
-            raise ConfigError("--trace must be >= 1")
+    if args.trace is not None and args.format != "json":
+        raise ConfigError("--trace is only available with --format json")
     registry = _registry(args)
     # S stages always cover the default window [0, 3**S - 1], so it needs only
     # the registry check, made before 3**S is computed so that a huge S is
@@ -164,8 +168,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.stages is None:
-        raise ConfigError("--stages is required for verify")
     registry = _registry(args)
     require_registry_depth(registry, args.stages)
     f = limit_function(registry, 3 ** args.stages - 1)
@@ -178,31 +180,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = (all(w.passed for w in witnesses)
                   and all(r.non_normal for r in sources))
 
-    witness_records = [
-        {"program_index": w.program_index, "checkpoint": w.checkpoint,
-         "chosen_bit": w.chosen_bit, "low_count": w.low_count,
-         "fraction_low": _frac(w.fraction_low),
-         "fraction_high": _frac(w.fraction_high), "passed": w.passed}
-        for w in witnesses]
-    source_records = [
-        {"source_index": r.source_index, "non_normal": r.non_normal,
-         "checkpoints": [
-             {"index": c.index, "checkpoint": c.checkpoint,
-              "chosen_bit": c.chosen_bit,
-              "fraction_low": _frac(c.fraction_low),
-              "deviation": _frac(c.deviation),
-              "witness_passed": c.witness_passed,
-              "orbit_fraction_low": (None if c.orbit_fraction_low is None
-                                     else _frac(c.orbit_fraction_low)),
-              "orbit_agrees": c.orbit_agrees}
-             for c in r.records]}
-        for r in sources]
-
     rows = sorted(
-        ((c["index"], s["source_index"], c["checkpoint"], c["chosen_bit"],
-          c["fraction_low"], witness_records[c["index"]]["fraction_high"],
-          c["deviation"], c["witness_passed"], c["orbit_agrees"])
-         for s in source_records for c in s["checkpoints"]),
+        ((c.index, s.source_index, c.checkpoint, c.chosen_bit,
+          _frac(c.fraction_low), _frac(witnesses[c.index].fraction_high),
+          _frac(c.deviation), c.witness_passed, c.orbit_agrees)
+         for s in sources for c in s.records),
         key=lambda row: row[0])
     _emit(args, VERIFY_FORMAT,
           ["program_index", "source_index", "checkpoint", "chosen_bit",
@@ -210,97 +192,95 @@ def cmd_verify(args: argparse.Namespace) -> int:
            "orbit_agrees"],
           rows,
           lambda: {"stages": args.stages, "all_passed": all_passed,
-                   "witnesses": witness_records,
-                   "non_normality": source_records})
+                   "witnesses": [asdict(w) for w in witnesses],
+                   "non_normality": [
+                       {"source_index": r.source_index,
+                        "non_normal": r.non_normal,
+                        "checkpoints": [asdict(c) for c in r.records]}
+                       for r in sources]})
     return 0 if all_passed else 3
 
 
 def _orbit_request(args: argparse.Namespace,
-                   least_count: int) -> tuple[Fraction, BasicSequence]:
-    """Parse X, check COUNT, and build the bases an expand/orbit/discrepancy
-    request consumes: COUNT - least_count of them, since discrepancy's COUNT
-    counts orbit points (at least one), one more than the steps between them.
-    """
+                   steps: int) -> tuple[Fraction, BasicSequence]:
+    """Parse X and build the `steps` bases an expand/orbit/discrepancy
+    request consumes."""
     registry = _registry(args)
     x = _parse_unit_fraction(args.x)
-    if args.count < least_count:
-        raise ConfigError(f"count must be >= {least_count}")
-    length = args.count - least_count
-    _check_explicit_stages(args, registry, length)
-    f = limit_function(registry, length)
-    return x, basic_sequence_from(f, length)
+    _check_explicit_stages(args, registry, steps)
+    f = limit_function(registry, steps)
+    return x, basic_sequence_from(f, steps)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    x, q = _orbit_request(args, 0)
+    x, q = _orbit_request(args, args.count)
     digits = cantor_digits(x, q, args.count)
     _emit(args, EXPAND_FORMAT, ["index", "digit", "q"],
           ((i, a, q.bases[i]) for i, a in enumerate(digits.digits)),
-          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
+          lambda: {"x": x, "count": args.count, "q": list(q.bases),
                    "q_exponents": list(q.exponents),
                    "digits": list(digits.digits),
-                   "value": _frac(cantor_value(digits))})
+                   "value": cantor_value(digits)})
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    x, q = _orbit_request(args, 0)
-    points = [_frac(y) for y in orbit(x, q, args.count)]
-    _emit(args, ORBIT_FORMAT, ["index", "point"], enumerate(points),
-          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
+    x, q = _orbit_request(args, args.count)
+    points = orbit(x, q, args.count)
+    _emit(args, ORBIT_FORMAT, ["index", "point"],
+          ((i, _frac(y)) for i, y in enumerate(points)),
+          lambda: {"x": x, "count": args.count, "q": list(q.bases),
                    "points": points})
     return 0
 
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
-    x, q = _orbit_request(args, 1)
-    orbit_points = orbit(x, q, args.count - 1)
-    star = star_discrepancy(orbit_points)
-    frequencies = [
-        {"lo": _frac(r.lo), "hi": _frac(r.hi), "hits": r.hits,
-         "fraction": _frac(r.fraction)}
-        for r in (interval_frequency(orbit_points, Fraction(j, 2 ** k),
-                                     Fraction(j + 1, 2 ** k))
-                  for k in range(1, 5) for j in range(2 ** k))]
-    points = [_frac(y) for y in orbit_points]
+    # COUNT counts orbit points, one more than the steps between them
+    x, q = _orbit_request(args, args.count - 1)
+    points = orbit(x, q, args.count - 1)
+    star = star_discrepancy(points)
+    frequencies = [interval_frequency(points, Fraction(j, 2 ** k),
+                                      Fraction(j + 1, 2 ** k))
+                   for k in range(1, 5) for j in range(2 ** k)]
 
     def rows():
         # a generator, so that `star`, whose denominator may pass the digit
         # cap that `_emit` lifts, is rendered only there
         for i, y in enumerate(points):
-            yield ("point", i, None, None, None, y)
+            yield ("point", i, None, None, None, _frac(y))
         for r in frequencies:
-            yield ("frequency", None, r["lo"], r["hi"], r["hits"], r["fraction"])
+            yield ("frequency", None, _frac(r.lo), _frac(r.hi), r.hits,
+                   _frac(r.fraction))
         yield ("star_discrepancy", None, None, None, None, _frac(star))
 
     _emit(args, DISCREPANCY_FORMAT,
           ["record", "index", "lo", "hi", "hits", "value"], rows(),
-          lambda: {"x": _frac(x), "count": args.count, "q": list(q.bases),
-                   "points": points, "star_discrepancy": _frac(star),
+          lambda: {"x": x, "count": args.count, "q": list(q.bases),
+                   "points": points, "star_discrepancy": star,
                    "star_discrepancy_decimal": float(star),
-                   "frequencies": frequencies})
+                   "frequencies": [{"lo": r.lo, "hi": r.hi, "hits": r.hits,
+                                    "fraction": r.fraction}
+                                   for r in frequencies]})
     return 0
 
 
 def cmd_champernowne(args: argparse.Namespace) -> int:
-    if args.base < 2:
-        raise ConfigError("base must be >= 2")
-    if args.count < 0:
-        raise ConfigError("count must be >= 0")
     digits = champernowne_bits(args.base, args.count)
     _emit(args, CHAMPERNOWNE_FORMAT, ["index", "digit"], enumerate(digits),
           lambda: {"base": args.base, "count": args.count, "digits": digits})
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, registry: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, registry: bool = True,
+                stages_required: bool = False) -> None:
     if registry:
-        parser.add_argument("--registry", metavar="PATH",
+        parser.add_argument("--registry", metavar="PATH", required=True,
                             help="registry config file (JSON)")
         parser.add_argument("--oracle", metavar="PATH",
                             help="oracle bit-prefix file (overrides the "
                                  "registry's own oracle)")
-        parser.add_argument("--stages", type=int, metavar="S",
+        parser.add_argument("--stages", type=_at_least(1), metavar="S",
+                            required=stages_required,
                             help="stage budget (build/verify: required; other "
                                  "commands: checked against the needed depth)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -319,44 +299,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="emit the settled position table and the "
                                      "derived base sequence")
-    _add_common(p)
-    p.add_argument("--max-pos", dest="max_pos", type=int, metavar="N",
+    _add_common(p, stages_required=True)
+    p.add_argument("--max-pos", dest="max_pos", type=_at_least(0), metavar="N",
                    help="largest settled position (default: 3**S - 1)")
-    p.add_argument("--trace", type=int, default=None, metavar="S_MAX",
+    p.add_argument("--trace", type=_at_least(1), metavar="S_MAX",
                    help="also emit stage approximations 1..S_MAX (json only)")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run witness checks for every stage index "
                                       "and non-normality reports per source")
-    _add_common(p)
+    _add_common(p, stages_required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("expand", help="Cantor digits of x under the constructed "
-                                      "base sequence")
-    _add_common(p)
-    p.add_argument("x", help="rational in [0, 1), e.g. 5/6")
-    p.add_argument("count", type=int, help="number of digits")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("orbit", help="mod-1 orbit of x under the constructed "
-                                     "base sequence")
-    _add_common(p)
-    p.add_argument("x", help="rational in [0, 1)")
-    p.add_argument("count", type=int, help="number of multiplication steps")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("discrepancy", help="orbit statistics: dyadic interval "
-                                           "frequencies and star discrepancy")
-    _add_common(p)
-    p.add_argument("x", help="rational in [0, 1)")
-    p.add_argument("count", type=int, help="number of orbit points")
-    p.set_defaults(func=cmd_discrepancy)
+    for name, func, least, help_text, count_help in (
+            ("expand", cmd_expand, 0, "Cantor digits of x under the "
+             "constructed base sequence", "number of digits"),
+            ("orbit", cmd_orbit, 0, "mod-1 orbit of x under the constructed "
+             "base sequence", "number of multiplication steps"),
+            ("discrepancy", cmd_discrepancy, 1, "orbit statistics: dyadic "
+             "interval frequencies and star discrepancy",
+             "number of orbit points")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        p.add_argument("x", help="rational in [0, 1), e.g. 5/6")
+        p.add_argument("count", type=_at_least(least), help=count_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("champernowne", help="digit prefix of the base-b "
                                             "concatenation of 0, 1, 2, ...")
     _add_common(p, registry=False)
-    p.add_argument("base", type=int)
-    p.add_argument("count", type=int)
+    p.add_argument("base", type=_at_least(2))
+    p.add_argument("count", type=_at_least(0))
     p.set_defaults(func=cmd_champernowne)
 
     return parser

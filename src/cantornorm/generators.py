@@ -308,11 +308,18 @@ def _config_word(cfg: Mapping, key: str,
 
 
 def _config_table(cfg: Mapping, key: str) -> dict[int, int]:
-    """A table whose keys are decimal position strings and values integers."""
+    """A table whose keys are canonical decimal position strings ("7", never
+    "07" or "+7", so that no two keys name one position) and values integers."""
     raw = cfg.get(key, {})
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{key!r} must map positions to integers")
-    return {int(p): _config_int(raw, p) for p in raw}
+    table = {}
+    for p in raw:
+        if str(int(p)) != p:
+            raise ConfigError(
+                f"{key!r} keys must be canonical decimal positions, got {p!r}")
+        table[int(p)] = _config_int(raw, p)
+    return table
 
 
 def generator_from_config(cfg: Mapping, oracle: Oracle | None = None) -> BitGenerator:

@@ -193,22 +193,17 @@ class Registry:
         entry = self.entry(e)
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        _check_position(position)
         if entry.halt.steps_at(position) <= budget:
             return entry.generator.bit_at(position)
         return 0
 
     def eval_limit(self, e: int, position: int) -> int:
         """Program e's settled bit at `position`."""
-        entry = self.entry(e)
-        _check_position(position)
-        return entry.generator.bit_at(position)
+        return self.entry(e).generator.bit_at(position)
 
     def settle_budget(self, e: int, max_position: int) -> int:
         """A budget settling program e on every position <= max_position."""
-        entry = self.entry(e)
-        _check_position(max_position)
-        return entry.halt.max_through(max_position)
+        return self.entry(e).halt.max_through(max_position)
 
     def root_of(self, e: int) -> int:
         """The non-alias index an entry ultimately duplicates."""
@@ -272,10 +267,9 @@ class Registry:
     @classmethod
     def from_file(cls, path, oracle_path=None) -> "Registry":
         p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"registry file not found: {p}")
+        text = _read_input(p, "registry")
         try:
-            cfg = json.loads(p.read_text())
+            cfg = json.loads(text)
         except ValueError as exc:
             # a JSONDecodeError, or an integer past Python's int->str cap
             raise ConfigError(f"registry file {p} is not valid JSON: {exc}") from None
@@ -306,16 +300,29 @@ def oracle_from_config(cfg) -> Oracle:
                   _config_bit(cfg, "default", 0))
 
 
+def _read_input(p: Path, what: str) -> str:
+    """The text of a `what` input file; a missing, unreadable or non-UTF-8
+    file is a ConfigError."""
+    if not p.is_file():
+        raise ConfigError(f"{what} file not found: {p}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file {p} is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {p}: "
+                          f"{exc.strerror or exc}") from None
+
+
 def load_oracle_file(path) -> Oracle:
     """Parse a bit-prefix file: runs of 0/1 characters on any number of lines
     are concatenated into the prefix, '#' lines are comments, and an optional
     'default=<0|1>' line fixes the bit beyond the prefix (0 if absent)."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"oracle file not found: {p}")
     prefix: list[int] = []
     default = 0
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_input(p, "oracle").splitlines(),
+                                  start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +357,33 @@ class TestOutputErrors:
         assert cli.main(["build", "--registry", path, "--stages", "1",
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize("argv", [
+        ["build", "--registry", "REG", "--stages", "1", "--max-pos", "-1"],
+        ["build", "--registry", "REG", "--stages", "1", "--trace", "0"],
+        ["build", "--registry", "REG", "--stages", "x"],
+        ["build", "--registry", "REG"],
+        ["verify", "--registry", "REG"],
+        ["expand", "--registry", "REG", "1/3", "-1"],
+        ["orbit", "--registry", "REG", "1/3", "-1"],
+        ["discrepancy", "--registry", "REG", "1/3", "0"],
+        ["expand", "1/3", "3"],
+        ["champernowne", "2", "-1"],
+        ["champernowne", "1", "5"],
+    ])
+    def test_refused_as_config_error(self, registry_file, capsys, argv):
+        path = registry_file(ZERO_REGISTRY)
+        assert cli.main([path if a == "REG" else a for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestInputFiles:
+    def test_non_utf8_oracle_file(self, tmp_path, capsys):
+        registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"
+        oracle = tmp_path / "o.txt"
+        oracle.write_bytes(b"\xff\xfe01\n")
+        assert cli.main(["build", "--registry", str(registry), "--oracle",
+                         str(oracle), "--stages", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: oracle file")

@@ -226,3 +226,31 @@ class TestOracleFile:
     def test_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_oracle_file(tmp_path / "none.txt")
+
+    @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
+    def test_non_utf8_input_is_config_error(self, tmp_path, load):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xff\xfe01\n")
+        with pytest.raises(ConfigError, match="is not UTF-8"):
+            load(path)
+
+
+class TestTableKeys:
+    @pytest.mark.parametrize("key", ["01", "+2", " 2", "2 ", "1_0", "١"])
+    @pytest.mark.parametrize("entry", [
+        lambda key: {"kind": "table", "bits": {key: 1}},
+        lambda key: {"kind": "constant",
+                     "halt": {"rule": "table", "steps": {key: 3}}},
+    ], ids=["bits", "steps"])
+    def test_non_canonical_keys_are_config_errors(self, entry, key):
+        with pytest.raises(ConfigError, match="canonical"):
+            Registry.from_config({"entries": [entry(key)]})
+
+    def test_keys_naming_one_position_are_not_merged(self):
+        with pytest.raises(ConfigError, match="'01'"):
+            Registry.from_config({"entries": [
+                {"kind": "table", "bits": {"1": 1, "01": 0}}]})
+        with pytest.raises(ConfigError, match=r"'\+2'"):
+            Registry.from_config({"entries": [
+                {"kind": "constant",
+                 "halt": {"rule": "table", "steps": {"2": 5, "+2": 9}}}]})
