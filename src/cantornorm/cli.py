@@ -33,6 +33,10 @@ ORBIT_FORMAT = "orbit/1"
 DISCREPANCY_FORMAT = "discrepancy/1"
 CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 
+# Most values a `build --trace` may hold; each snapshot also scans fewer than
+# 6*(max_position+1) positions, so this bounds its evaluations as well
+TRACE_VALUE_LIMIT = 10 ** 6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -135,6 +139,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     _check_explicit_stages(args, registry, args.max_pos or 0)
     max_position = (args.max_pos if args.max_pos is not None
                     else 3 ** args.stages - 1)
+    if (args.trace is not None
+            and args.trace * (max_position + 1) > TRACE_VALUE_LIMIT):
+        raise ResourceLimitError(
+            f"--trace {args.trace} over positions 0..{max_position} asks for "
+            f"{args.trace * (max_position + 1)} values, more than "
+            f"{TRACE_VALUE_LIMIT}")
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
     exponents = q.exponents

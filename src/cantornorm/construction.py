@@ -130,20 +130,18 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
         raise ValueError("max_position must be >= 0")
     stages = stages_covering(max_position)
     require_registry_depth(registry, stages, max_position)
-    horizon = 2 * (3 ** stages - 1)
-    settle = max((registry.settle_budget(e, horizon) for e in range(stages)),
-                 default=0)
-    stage_budget = max(stages, settle)
+    # needed[t] settles programs 0..t on all positions stages 1..t+1 consult
+    needed = [max(registry.settle_budget(e, 2 * (3 ** (t + 1) - 1))
+                  for e in range(t + 1)) for t in range(stages)]
+    stage_budget = max([stages, *needed])
     values, blocks = _run_stages(registry, stages, stage_budget + 1)
 
     certificates = [0]
-    for p in range(1, max_position + 1):
-        t = block_of(p)
-        needed = max(registry.settle_budget(e, 2 * (3 ** (t + 1) - 1))
-                     for e in range(t + 1))
-        # the run at stage s uses budget s+1, so s >= needed-1 settles it;
-        # s >= t+1 puts p in the domain
-        certificates.append(max(t + 1, needed - 1))
+    for t, settle in enumerate(needed):
+        # the run at stage s uses budget s+1, so s >= settle-1 settles block
+        # t; s >= t+1 puts it in the domain
+        width = min(3 ** (t + 1), max_position + 1) - 3 ** t
+        certificates.extend([max(t + 1, settle - 1)] * width)
     return LimitFunction(values[:max_position + 1], max_position,
                          tuple(certificates), blocks, stage_budget)
 
@@ -157,13 +155,16 @@ def stage_trace(registry: Registry, max_position: int,
     restriction is exact while staying affordable for large stage indices.
     Each record keeps the blocks of the stages actually run.
     """
-    limit_stages = stages_covering(max_position)
-    require_registry_depth(registry, limit_stages, max_position)
+    limit = limit_function(registry, max_position)
+    stages = len(limit.blocks)
     snapshots = []
     for s in stage_indices:
         if s < 0:
             raise ValueError("stage index must be >= 0")
-        values, blocks = _run_stages(registry, min(s, limit_stages), s + 1)
+        if s < limit.stage_budget:
+            values, blocks = _run_stages(registry, min(s, stages), s + 1)
+        else:  # budget s+1 settles every position the stages consult
+            values, blocks = limit.values, limit.blocks
         snapshots.append(StageFunction(s, values[:max_position + 1], blocks))
     return tuple(snapshots)
 

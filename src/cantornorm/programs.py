@@ -270,8 +270,9 @@ class Registry:
         text = _read_input(p, "registry")
         try:
             cfg = json.loads(text)
-        except ValueError as exc:
-            # a JSONDecodeError, or an integer past Python's int->str cap
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer past Python's int->str cap, or
+            # nesting deeper than the parser's recursion allows
             raise ConfigError(f"registry file {p} is not valid JSON: {exc}") from None
         oracle = load_oracle_file(oracle_path) if oracle_path is not None else None
         return cls.from_config(cfg, oracle=oracle)

@@ -101,3 +101,26 @@ def stage_rule_oracle(registry: Registry, stage: int) -> tuple[int, ...]:
         k = min(k for k in (0, 1) if len(candidates[k]) >= quota)
         values.extend(candidates[k][:quota])
     return tuple(values)
+
+
+def certificate_oracle(registry: Registry,
+                       max_position: int) -> tuple[tuple[int, ...], int]:
+    """Per-position certificates and the stage budget, each derived on its
+    own: position p of block t is in the domain from stage t+1 on and settled
+    once stage s's budget s+1 settles programs 0..t on every position stages
+    1..t+1 can consult; the budget settles all covering stages at once."""
+    certificates = [0]
+    for p in range(1, max_position + 1):
+        t = 0
+        while 3 ** (t + 1) <= p:
+            t += 1
+        needed = max(registry.settle_budget(e, 2 * (3 ** (t + 1) - 1))
+                     for e in range(t + 1))
+        certificates.append(max(t + 1, needed - 1))
+    stages = 0
+    while 3 ** stages <= max_position:
+        stages += 1
+    horizon = 2 * (3 ** stages - 1)
+    settle = max((registry.settle_budget(e, horizon) for e in range(stages)),
+                 default=0)
+    return tuple(certificates), max(stages, settle)

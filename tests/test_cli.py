@@ -120,6 +120,34 @@ class TestBuild:
         assert payload["trace"][3]["values"] == list(range(9))
 
 
+class TestTraceLimit:
+    DEMO = Path(__file__).resolve().parent.parent / "configs"
+
+    @pytest.mark.parametrize("argv", [
+        ["--stages", "2", "--max-pos", "0", "--trace", "1000001"],
+        ["--stages", "2", "--trace", "100000000"],
+    ])
+    def test_oversized_trace_is_resource_limit(self, capsys, argv):
+        code = cli.main(["build",
+                         "--registry", str(self.DEMO / "demo_registry.json"),
+                         "--oracle", str(self.DEMO / "demo_oracle.txt"),
+                         *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_limit_counts_values(self, registry_file, capsys):
+        path = registry_file(ZERO_REGISTRY)
+        argv = ["build", "--registry", path, "--stages", "2", "--trace"]
+        most = cli.TRACE_VALUE_LIMIT // 9   # 9 positions per snapshot
+        assert cli.main(argv + [str(most + 1)]) == 2
+        capsys.readouterr()
+        code, payload = run_json(argv + [str(most)], capsys)
+        assert code == 0
+        assert payload["trace"][-1] == {"stage": most,
+                                        "values": list(range(9))}
+
+
 class TestVerify:
     def test_mixed_registry_passes(self, registry_file, capsys):
         path = registry_file(MIXED_REGISTRY)
@@ -380,6 +408,14 @@ class TestArgumentBounds:
 
 
 class TestInputFiles:
+    def test_deeply_nested_registry(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["verify", "--registry", str(path),
+                         "--stages", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: registry file") and "not valid JSON" in err
+
     def test_non_utf8_oracle_file(self, tmp_path, capsys):
         registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"
         oracle = tmp_path / "o.txt"

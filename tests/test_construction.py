@@ -9,7 +9,8 @@ from cantornorm import (ConfigError, ConstantBits, ConstantHalt, PeriodicBits,
                         build_stage_function, limit_function, stage_trace,
                         stages_covering, verify_bound)
 
-from helpers import one_registry, random_registry, stage_rule_oracle, zero_registry
+from helpers import (certificate_oracle, one_registry, random_registry,
+                     stage_rule_oracle, zero_registry)
 
 
 def late_bit_registry() -> Registry:
@@ -114,6 +115,27 @@ class TestStability:
             for s, fs in by_stage.items():
                 if s >= f.certificates[p]:
                     assert fs.values[p] == f.values[p]
+
+
+class TestByBlock:
+    @given(seed=st.integers(0, 10 ** 9), m=st.integers(0, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_certificates_match_per_position_oracle(self, seed, m):
+        reg = random_registry(random.Random(seed), entries=8, halt_cap=5)
+        f = limit_function(reg, m)
+        assert (f.certificates, f.stage_budget) == certificate_oracle(reg, m)
+
+    @given(seed=st.integers(0, 10 ** 9), m=st.integers(0, 80))
+    @settings(max_examples=40, deadline=None)
+    def test_trace_matches_stage_oracle_and_limit(self, seed, m):
+        reg = random_registry(random.Random(seed), entries=8, halt_cap=5)
+        f = limit_function(reg, m)
+        for s in range(len(reg)):
+            (snapshot,) = stage_trace(reg, m, [s])
+            assert snapshot.values == stage_rule_oracle(reg, s)[:m + 1]
+            if s >= f.stage_budget:
+                assert (snapshot.values, snapshot.blocks) == \
+                    (f.values, f.blocks)
 
 
 class TestLimitProperties:

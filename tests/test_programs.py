@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         ConstantHalt, LinearHalt, Oracle, PeriodicBits,
@@ -203,6 +203,39 @@ class TestConfig:
             halt_from_config({"rule": "quadratic"})
         with pytest.raises(ConfigError):
             halt_from_config({"rule": "constant", "steps": -1})
+
+
+# JSON-like values whose keys and strings often hit the config vocabulary
+CONFIG_WORDS = st.sampled_from([
+    "format", "registry/1", "oracle", "prefix", "entries", "alias_of", "kind",
+    "constant", "periodic", "table", "rational", "champernowne", "oracle-bit",
+    "bit", "pattern", "bits", "default", "numerator", "denominator", "halt",
+    "rule", "linear", "steps", "slope", "intercept", "0", "1", "01", "-1",
+])
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 10 ** 30) | st.floats()
+    | st.text(max_size=4) | CONFIG_WORDS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(CONFIG_WORDS | st.text(max_size=3), children,
+                      max_size=5),
+    max_leaves=20)
+# entry-shaped objects, so that some registries get past the entry checks
+FIELDS = {key: JSON_LIKE for key in (
+    "bit", "pattern", "bits", "default", "numerator", "denominator", "steps",
+    "slope", "intercept", "alias_of")}
+ENTRY = st.fixed_dictionaries({"kind": CONFIG_WORDS}, optional={
+    **FIELDS, "halt": JSON_LIKE | st.fixed_dictionaries(
+        {"rule": CONFIG_WORDS}, optional=FIELDS)})
+
+
+@given(entries=st.lists(ENTRY | JSON_LIKE, max_size=4),
+       extra=st.dictionaries(CONFIG_WORDS, JSON_LIKE, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_from_config_raises_only_config_error(entries, extra):
+    try:
+        Registry.from_config({**extra, "entries": entries})
+    except ConfigError:
+        pass
 
 
 class TestOracleFile:
