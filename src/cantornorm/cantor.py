@@ -120,6 +120,27 @@ class CantorDigits:
                 raise ValueError(f"digit {a} at index {i} outside [0, {q})")
 
 
+def _greedy(x, q, n: int) -> tuple[int, list[int], list[int]]:
+    """The greedy rule on integers for x = a/b in lowest terms: r_0 = a and
+    a_i, r_{i+1} = divmod(r_i * q_i, b), so the digits are the a_i and the
+    orbit points y_i = r_i / b. Returns b, n digits and n+1 remainders."""
+    base = _as_bases(q)
+    value = Fraction(x)
+    if not 0 <= value < 1:
+        raise ValueError(f"x must lie in [0, 1), got {value}")
+    if not 0 <= n <= len(base):
+        raise ValueError(f"count must lie in [0, {len(base)}] for "
+                         f"{len(base)} bases, got {n}")
+    b = value.denominator
+    r = value.numerator
+    digits, remainders = [], [r]
+    for q_i in base.bases[:n]:
+        a, r = divmod(r * q_i, b)
+        digits.append(a)
+        remainders.append(r)
+    return b, digits, remainders
+
+
 def cantor_digits(x, q, n: int) -> CantorDigits:
     """First n digits of x in the given bases by the greedy rule
     a_i = floor(r_i * q_i), r_{i+1} = r_i * q_i - a_i.
@@ -128,20 +149,7 @@ def cantor_digits(x, q, n: int) -> CantorDigits:
     with a terminating expansion come out terminated (all-zero tail).
     """
     base = _as_bases(q)
-    value = Fraction(x)
-    if not 0 <= value < 1:
-        raise ValueError(f"x must lie in [0, 1), got {value}")
-    if n < 0:
-        raise ValueError("digit count must be >= 0")
-    if n > len(base):
-        raise ValueError(f"need {n} bases, have {len(base)}")
-    digits = []
-    r = value
-    for i in range(n):
-        scaled = r * base[i]
-        a = int(scaled)
-        digits.append(a)
-        r = scaled - a
+    _, digits, _ = _greedy(x, base, n)
     return CantorDigits(tuple(digits), BasicSequence(base.bases[:n]))
 
 
@@ -157,16 +165,5 @@ def cantor_value(d: CantorDigits) -> Fraction:
 
 def orbit(x, q, n: int) -> list[Fraction]:
     """Points y_0 = x and y_{i+1} = y_i * q_i mod 1 for i < n, all exact."""
-    base = _as_bases(q)
-    y = Fraction(x)
-    if not 0 <= y < 1:
-        raise ValueError(f"x must lie in [0, 1), got {y}")
-    if n < 0:
-        raise ValueError("step count must be >= 0")
-    if n > len(base):
-        raise ValueError(f"need {n} bases, have {len(base)}")
-    points = [y]
-    for i in range(n):
-        y = (y * base[i]) % 1
-        points.append(y)
-    return points
+    b, _, remainders = _greedy(x, q, n)
+    return [Fraction(r, b) for r in remainders]

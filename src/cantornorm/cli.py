@@ -19,11 +19,11 @@ from typing import Callable, Iterable, Sequence
 
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
 from .construction import (basic_sequence_from, block_of, limit_function,
-                           require_registry_depth, stage_trace,
+                           require_registry_depth, _stage_snapshot,
                            stages_covering)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
-from .normality import interval_frequency, non_normality_report, star_discrepancy, witness_check
+from .normality import interval_frequency, report_from_witnesses, star_discrepancy, witness_check
 from .programs import Registry
 
 BUILD_FORMAT = "f-table/1"
@@ -168,9 +168,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         }
         if args.trace is not None:
             payload["trace"] = [
-                {"stage": s.stage, "values": list(s.values)}
-                for s in stage_trace(registry, max_position,
-                                     range(1, args.trace + 1))]
+                {"stage": s, "values": list(_stage_snapshot(registry, f, s).values)}
+                for s in range(1, args.trace + 1)]
         return payload
 
     _emit(args, BUILD_FORMAT, BUILD_HEADER, rows, fields)
@@ -182,11 +181,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     require_registry_depth(registry, args.stages)
     f = limit_function(registry, 3 ** args.stages - 1)
     witnesses = [witness_check(registry, e, f) for e in range(args.stages)]
-    sources = []
-    for root, group in sorted(registry.alias_groups().items()):
-        checkpoints = [i for i in group if i < args.stages]
-        if checkpoints:
-            sources.append(non_normality_report(registry, root, f, checkpoints))
+    sources = [report_from_witnesses(registry, root, f,
+                                     [witnesses[i] for i in group if i < args.stages])
+               for root, group in sorted(registry.alias_groups().items())
+               if root < args.stages]
     all_passed = (all(w.passed for w in witnesses)
                   and all(r.non_normal for r in sources))
 

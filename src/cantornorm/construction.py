@@ -156,17 +156,19 @@ def stage_trace(registry: Registry, max_position: int,
     Each record keeps the blocks of the stages actually run.
     """
     limit = limit_function(registry, max_position)
-    stages = len(limit.blocks)
-    snapshots = []
-    for s in stage_indices:
-        if s < 0:
-            raise ValueError("stage index must be >= 0")
-        if s < limit.stage_budget:
-            values, blocks = _run_stages(registry, min(s, stages), s + 1)
-        else:  # budget s+1 settles every position the stages consult
-            values, blocks = limit.values, limit.blocks
-        snapshots.append(StageFunction(s, values[:max_position + 1], blocks))
-    return tuple(snapshots)
+    return tuple(_stage_snapshot(registry, limit, s) for s in stage_indices)
+
+
+def _stage_snapshot(registry: Registry, limit: LimitFunction,
+                    s: int) -> StageFunction:
+    """Stage approximation `s` restricted to the window `limit` settles."""
+    if s < 0:
+        raise ValueError("stage index must be >= 0")
+    if s < limit.stage_budget:
+        values, blocks = _run_stages(registry, min(s, len(limit.blocks)), s + 1)
+    else:  # budget s+1 settles every position the stages consult
+        values, blocks = limit.values, limit.blocks
+    return StageFunction(s, values[:limit.settled_through + 1], blocks)
 
 
 def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .cantor import orbit
@@ -134,23 +135,30 @@ def non_normality_report(registry: Registry, source: int, f: LimitFunction,
     for i in checkpoints:
         if registry.root_of(i) != root:
             raise ConfigError(f"index {i} is not an alias of program {source}")
+    return report_from_witnesses(
+        registry, root, f, [witness_check(registry, i, f) for i in checkpoints])
+
+
+def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
+                          witnesses: Sequence[WitnessReport]) -> NonNormalityReport:
+    """`non_normality_report` of source `root` from its indices' witnesses;
+    the cross-check walks the orbit once, to the largest checkpoint."""
+    half = Fraction(1, 2)
     generator = registry.entry(root).generator
     value = generator.exact_value()
-    check_orbit = value is not None and not generator.ends_in_ones()
-    records = []
-    for i in checkpoints:
-        witness = witness_check(registry, i, f)
-        deviation = abs(witness.fraction_low - Fraction(1, 2))
-        orbit_fraction = None
-        agrees = None
-        if check_orbit:
-            bases = basic_sequence_from(f, witness.checkpoint - 1)
-            points = orbit(value, bases, witness.checkpoint - 1)
-            orbit_fraction = interval_frequency(points, 0, Fraction(1, 2)).fraction
-            agrees = orbit_fraction == witness.fraction_low
-        records.append(CheckpointRecord(i, witness.checkpoint, witness.chosen_bit,
-                                        witness.fraction_low, deviation,
-                                        witness.passed, orbit_fraction, agrees))
+    orbit_fractions = [None] * len(witnesses)
+    if value is not None and not generator.ends_in_ones() and witnesses:
+        steps = max(w.checkpoint for w in witnesses) - 1
+        points = orbit(value, basic_sequence_from(f, steps), steps)
+        # low[k]: how many of y_0 .. y_{k-1} lie in [0, 1/2)
+        low = list(accumulate((y < half for y in points), initial=0))
+        orbit_fractions = [Fraction(low[w.checkpoint], w.checkpoint)
+                           for w in witnesses]
+    records = tuple(CheckpointRecord(
+        w.program_index, w.checkpoint, w.chosen_bit, w.fraction_low,
+        abs(w.fraction_low - half), w.passed, orbit_fraction,
+        None if orbit_fraction is None else orbit_fraction == w.fraction_low)
+        for w, orbit_fraction in zip(witnesses, orbit_fractions))
     verdict = (all(r.deviation >= Fraction(1, 6) for r in records)
                if records else None)
-    return NonNormalityReport(root, tuple(records), verdict)
+    return NonNormalityReport(root, records, verdict)

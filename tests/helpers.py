@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt, Oracle,
                         OracleBits, PeriodicBits, RationalBits, Registry,
-                        TableBits, TableHalt)
+                        TableBits, TableHalt, basic_sequence_from,
+                        interval_frequency, orbit)
 
 
 def zero_registry(n: int) -> Registry:
@@ -58,9 +59,15 @@ def random_halt(rng: random.Random, cap: int = 50) -> ConstantHalt | TableHalt:
 
 def random_registry(rng: random.Random, entries: int = 6, halt_cap: int = 50,
                     oracle: Oracle | None = None,
-                    oracle_at: tuple[int, ...] = ()) -> Registry:
+                    oracle_at: tuple[int, ...] = (),
+                    alias_at: tuple[int, ...] = ()) -> Registry:
+    """Random entries; each index in `alias_at` (never 0) aliases a random
+    earlier index instead."""
     programs = []
     for i in range(entries):
+        if i in alias_at:
+            programs.append(rng.randrange(i))
+            continue
         if i in oracle_at:
             generator = OracleBits(oracle)
         else:
@@ -124,3 +131,34 @@ def certificate_oracle(registry: Registry,
     settle = max((registry.settle_budget(e, horizon) for e in range(stages)),
                  default=0)
     return tuple(certificates), max(stages, settle)
+
+
+def fraction_digits(x, q, n: int) -> tuple[int, ...]:
+    """Greedy Cantor digits in `Fraction` arithmetic:
+    a_i = floor(r_i * q_i), r_{i+1} = r_i * q_i - a_i from r_0 = x."""
+    digits = []
+    r = Fraction(x)
+    for i in range(n):
+        scaled = r * q[i]
+        a = int(scaled)
+        digits.append(a)
+        r = scaled - a
+    return tuple(digits)
+
+
+def fraction_orbit(x, q, n: int) -> list[Fraction]:
+    """Orbit points in `Fraction` arithmetic: y_0 = x, y_{i+1} = y_i * q_i mod 1."""
+    y = Fraction(x)
+    points = [y]
+    for i in range(n):
+        y = (y * q[i]) % 1
+        points.append(y)
+    return points
+
+
+def checkpoint_orbit_low(value, f, checkpoint: int) -> Fraction:
+    """Low-half frequency of the orbit of `value` over the first `checkpoint`
+    points, from an orbit built for this checkpoint alone."""
+    steps = checkpoint - 1
+    points = orbit(value, basic_sequence_from(f, steps), steps)
+    return interval_frequency(points, 0, Fraction(1, 2)).fraction

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cantornorm import (BasicSequence, CantorDigits, DyadicValue, cantor_digits,
                         cantor_value, orbit, shift, value_of_bits)
+from helpers import fraction_digits, fraction_orbit
 
 
 class TestValueOfBits:
@@ -177,3 +178,29 @@ def test_round_trip_exact_on_terminating(bases, data):
     seq = BasicSequence(bases)
     x = cantor_value(CantorDigits(digits, seq))
     assert cantor_digits(x, seq, len(bases)).digits == digits
+
+
+@given(
+    b=st.integers(1, 2 ** 64),
+    bases=st.lists(st.integers(2, 2 ** 20), max_size=12),
+    data=st.data(),
+)
+def test_integer_recurrence_matches_fractions(b, bases, data):
+    """The integer loop behind `cantor_digits` and `orbit` agrees with the
+    greedy rule and the mod-1 map computed in `Fraction` arithmetic."""
+    x = Fraction(data.draw(st.integers(0, b - 1)), b)
+    n = data.draw(st.integers(0, len(bases)))
+    assert cantor_digits(x, bases, n).digits == fraction_digits(x, bases, n)
+    assert orbit(x, bases, n) == fraction_orbit(x, bases, n)
+
+
+@pytest.mark.parametrize("function", [cantor_digits, orbit])
+@pytest.mark.parametrize("x, n", [
+    (Fraction(1, 3), -1),
+    (Fraction(1, 3), 4),
+    (Fraction(1), 2),
+    (Fraction(-1, 3), 2),
+])
+def test_rejects_count_and_x_out_of_range(function, x, n):
+    with pytest.raises(ValueError):
+        function(x, (2, 3, 5), n)

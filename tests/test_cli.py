@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cantornorm import cli
+from cantornorm import cli, construction, normality
 from cantornorm.normality import WitnessReport
 
 ZERO_REGISTRY = {
@@ -40,6 +40,20 @@ def registry_file(tmp_path):
         path.write_text(json.dumps(cfg))
         return str(path)
     return write
+
+
+def count_calls(monkeypatch, name, modules):
+    """Route `name` in each module through one counting wrapper of the
+    first module's function; returns the list of argument tuples seen."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def run_json(args, capsys):
@@ -147,6 +161,15 @@ class TestTraceLimit:
         assert payload["trace"][-1] == {"stage": most,
                                         "values": list(range(9))}
 
+    def test_trace_computes_the_limit_once(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, "limit_function", [construction, cli])
+        code = cli.main(["build",
+                         "--registry", str(self.DEMO / "demo_registry.json"),
+                         "--oracle", str(self.DEMO / "demo_oracle.txt"),
+                         "--stages", "2", "--trace", "3"])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestVerify:
     def test_mixed_registry_passes(self, registry_file, capsys):
@@ -180,6 +203,23 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# format=witness-report/1"
         assert len(lines) == 2 + 4  # header + one row per witnessed index
+
+    def test_each_index_witnessed_once(self, registry_file, monkeypatch,
+                                       capsys):
+        calls = count_calls(monkeypatch, "witness_check", [normality, cli])
+        path = registry_file(MIXED_REGISTRY)
+        code = cli.main(["verify", "--registry", path, "--stages", "4"])
+        assert code == 0
+        assert len(calls) == 4
+        assert sorted(e for _, e, _ in calls) == [0, 1, 2, 3]
+
+    def test_each_orbit_walked_once(self, registry_file, monkeypatch, capsys):
+        # sources 0 (periodic, aliased by 3) and 1 (rational) have a value;
+        # champernowne source 2 has none
+        calls = count_calls(monkeypatch, "orbit", [normality])
+        path = registry_file(MIXED_REGISTRY)
+        assert cli.main(["verify", "--registry", path, "--stages", "4"]) == 0
+        assert [steps for _, _, steps in calls] == [3 ** 4 - 1, 3 ** 2 - 1]
 
     def test_failing_witness_exits_three(self, registry_file, monkeypatch, capsys):
         def broken(registry, e, f):

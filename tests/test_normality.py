@@ -10,8 +10,8 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         limit_function, non_normality_report, orbit,
                         star_discrepancy, witness_check)
 
-from helpers import (brute_star_discrepancy, one_registry, random_halt,
-                     random_registry, zero_registry)
+from helpers import (brute_star_discrepancy, checkpoint_orbit_low,
+                     one_registry, random_halt, random_registry, zero_registry)
 
 
 class TestIntervalFrequency:
@@ -199,3 +199,21 @@ class TestNonNormalityReport:
         assert report.non_normal is True
         assert report.records[0].orbit_fraction_low is None
         assert report.records[0].orbit_agrees is None
+
+    @given(seed=st.integers(0, 10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_one_orbit_matches_an_orbit_per_checkpoint(self, seed):
+        """Prefix counts of one orbit to the largest checkpoint give every
+        alias the frequency an orbit built for its checkpoint alone gives."""
+        rng = random.Random(seed)
+        aliases = tuple(i for i in range(1, 5) if rng.random() < 0.5)
+        reg = random_registry(rng, entries=5, halt_cap=8, alias_at=aliases)
+        f = limit_function(reg, 3 ** 5 - 1)
+        for root, group in reg.alias_groups().items():
+            generator = reg.entry(root).generator
+            value = generator.exact_value()
+            report = non_normality_report(reg, root, f, group)
+            for record in report.records:
+                expected = (None if value is None or generator.ends_in_ones()
+                            else checkpoint_orbit_low(value, f, record.checkpoint))
+                assert record.orbit_fraction_low == expected
