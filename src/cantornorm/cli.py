@@ -1,8 +1,8 @@
 """Command-line front end emitting deterministic JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 resource limit (the message
-reports the required stage count), 3 witness failure (which would signal a
-builder bug, never a valid state).
+reports the required stage count), 3 witness or growth-bound failure (which
+would signal a builder bug, never a valid state).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
 from .construction import (basic_sequence_from, block_of, limit_function,
                            require_registry_depth, _stage_snapshot,
-                           stages_covering)
+                           stages_covering, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import interval_frequency, report_from_witnesses, star_discrepancy, witness_check
@@ -34,8 +34,11 @@ DISCREPANCY_FORMAT = "discrepancy/1"
 CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 
 # Most values a `build --trace` may hold; each snapshot also scans fewer than
-# 6*(max_position+1) positions, so this bounds its evaluations as well
+# 6*(max_position+1) positions, so this bounds its evaluations as well. A
+# snapshot counts as at least TRACE_SNAPSHOT_FLOOR values, about the cost of
+# its own JSON record, so that many tiny snapshots cannot pass the limit.
 TRACE_VALUE_LIMIT = 10 ** 6
+TRACE_SNAPSHOT_FLOOR = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,12 +142,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     _check_explicit_stages(args, registry, args.max_pos or 0)
     max_position = (args.max_pos if args.max_pos is not None
                     else 3 ** args.stages - 1)
-    if (args.trace is not None
-            and args.trace * (max_position + 1) > TRACE_VALUE_LIMIT):
-        raise ResourceLimitError(
-            f"--trace {args.trace} over positions 0..{max_position} asks for "
-            f"{args.trace * (max_position + 1)} values, more than "
-            f"{TRACE_VALUE_LIMIT}")
+    if args.trace is not None:
+        charge = args.trace * max(max_position + 1, TRACE_SNAPSHOT_FLOOR)
+        if charge > TRACE_VALUE_LIMIT:
+            raise ResourceLimitError(
+                f"--trace {args.trace} over positions 0..{max_position} counts "
+                f"as {charge} values (at least {TRACE_SNAPSHOT_FLOOR} per "
+                f"snapshot), more than {TRACE_VALUE_LIMIT}")
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
     exponents = q.exponents
@@ -186,7 +190,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                for root, group in sorted(registry.alias_groups().items())
                if root < args.stages]
     all_passed = (all(w.passed for w in witnesses)
-                  and all(r.non_normal for r in sources))
+                  and all(r.non_normal for r in sources)
+                  and verify_bound(f).passed)
 
     rows = sorted(
         ((c.index, s.source_index, c.checkpoint, c.chosen_bit,

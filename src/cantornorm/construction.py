@@ -102,8 +102,9 @@ def _run_stages(registry: Registry, stages: int,
         cut = values[-1]
         quota = 2 * 3 ** t
         hits: tuple[list[int], list[int]] = ([], [])
-        for p in range(cut + 1, cut + 2 * quota + 1):
-            hits[registry.eval_bounded(t, budget, p)].append(p)
+        window = range(cut + 1, cut + 2 * quota + 1)
+        for p, bit in zip(window, registry.eval_window(t, budget, window)):
+            hits[bit].append(p)
         chosen_bit = 0 if len(hits[0]) >= quota else 1
         chosen = tuple(hits[chosen_bit][:quota])
         values.extend(chosen)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cantor import _as_word, value_of_bits
 from .errors import ConfigError
@@ -45,22 +45,12 @@ def champernowne_bits(base: int, n: int) -> list[int]:
 
 
 def rational_bits(p: int, q: int, n: int) -> list[int]:
-    """First n bits of p/q by binary long division.
+    """First n bits of p/q.
 
     Dyadic inputs come out as the terminating expansion (all-zero tail),
     never as an all-ones tail.
     """
-    if q <= 0 or not 0 <= p < q:
-        raise ValueError(f"need 0 <= p < q, got {p}/{q}")
-    if n < 0:
-        raise ValueError("bit count must be >= 0")
-    bits = []
-    r = p
-    for _ in range(n):
-        r *= 2
-        bits.append(r // q)
-        r %= q
-    return bits
+    return RationalBits(p, q).prefix(n)
 
 
 def periodic_bits(pattern: Sequence[int], n: int) -> list[int]:
@@ -80,11 +70,7 @@ class Oracle:
         _as_word((self.default,))
 
     def bit_at(self, position: int) -> int:
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        if position < len(self.prefix):
-            return self.prefix[position]
-        return self.default
+        return OracleBits(self).bit_at(position)
 
 
 def _sorted_table(items: Mapping[int, int] | Sequence[tuple[int, int]]
@@ -101,18 +87,31 @@ def _sorted_table(items: Mapping[int, int] | Sequence[tuple[int, int]]
     return table
 
 
+def _check_position(position: int) -> int:
+    if position < 0:
+        raise ValueError("position must be >= 0")
+    return position
+
+
 class BitGenerator(ABC):
     """A total map from positions to bits."""
 
     kind: str = ""
 
     @abstractmethod
-    def bit_at(self, position: int) -> int: ...
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        """The bits at a non-decreasing run of positions >= 0, in one pass;
+        the run is not checked."""
+
+    def bit_at(self, position: int) -> int:
+        # each kind re-binds bit_at in its class body: perfbench/tracing.py
+        # wraps it per class until a run-stats side channel replaces that
+        return next(self.bits((_check_position(position),)))
 
     def prefix(self, n: int) -> list[int]:
         if n < 0:
             raise ValueError("bit count must be >= 0")
-        return [self.bit_at(p) for p in range(n)]
+        return list(self.bits(range(n)))
 
     @abstractmethod
     def exact_value(self) -> Fraction | None:
@@ -133,14 +132,13 @@ class BitGenerator(ABC):
 class ConstantBits(BitGenerator):
     bit: int = 0
     kind = "constant"
+    bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
         _as_word((self.bit,))
 
-    def bit_at(self, position: int) -> int:
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        return self.bit
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        return (self.bit for _ in positions)
 
     def exact_value(self) -> Fraction:
         return Fraction(self.bit)
@@ -156,16 +154,16 @@ class ConstantBits(BitGenerator):
 class PeriodicBits(BitGenerator):
     pattern: tuple[int, ...]
     kind = "periodic"
+    bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pattern", _as_word(self.pattern))
         if not self.pattern:
             raise ValueError("pattern must be nonempty")
 
-    def bit_at(self, position: int) -> int:
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        return self.pattern[position % len(self.pattern)]
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        pattern, n = self.pattern, len(self.pattern)
+        return (pattern[p % n] for p in positions)
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.pattern)
@@ -185,6 +183,7 @@ class TableBits(BitGenerator):
     assignments: Mapping[int, int] | tuple[tuple[int, int], ...] = ()
     default: int = 0
     kind = "table"
+    bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
         norm = _sorted_table(self.assignments)
@@ -192,13 +191,9 @@ class TableBits(BitGenerator):
         _as_word((self.default,))
         object.__setattr__(self, "assignments", norm)
 
-    def bit_at(self, position: int) -> int:
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        for p, b in self.assignments:
-            if p == position:
-                return b
-        return self.default
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        lookup, default = dict(self.assignments).get, self.default
+        return (lookup(p, default) for p in positions)
 
     def exact_value(self) -> Fraction:
         value = Fraction(self.default)
@@ -221,16 +216,21 @@ class RationalBits(BitGenerator):
     numerator: int
     denominator: int
     kind = "rational"
+    bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
         if self.denominator <= 0 or not 0 <= self.numerator < self.denominator:
             raise ValueError(
                 f"need 0 <= p < q, got {self.numerator}/{self.denominator}")
 
-    def bit_at(self, position: int) -> int:
-        if position < 0:
-            raise ValueError("position must be >= 0")
-        return (self.numerator << (position + 1)) // self.denominator % 2
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        # digit extraction (Bailey, Borwein and Plouffe 1997): carry
+        # r = numerator * 2**p mod denominator; bit p is floor(2r / denominator)
+        b, r, at = self.denominator, self.numerator, 0
+        for p in positions:
+            r = r * pow(2, p - at, b) % b
+            at = p
+            yield 2 * r // b
 
     def exact_value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -247,9 +247,10 @@ class ChampernowneBits(BitGenerator):
     """Base-2 concatenation of 0, 1, 10, 11, 100, ... (irrational value)."""
 
     kind = "champernowne"
+    bit_at = BitGenerator.bit_at
 
-    def bit_at(self, position: int) -> int:
-        return champernowne_digit(2, position)
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        return (champernowne_digit(2, p) for p in positions)
 
     def exact_value(self) -> None:
         return None
@@ -267,9 +268,12 @@ class OracleBits(BitGenerator):
 
     oracle: Oracle
     kind = "oracle-bit"
+    bit_at = BitGenerator.bit_at
 
-    def bit_at(self, position: int) -> int:
-        return self.oracle.bit_at(position)
+    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+        prefix, default = self.oracle.prefix, self.oracle.default
+        n = len(prefix)
+        return (prefix[p] if p < n else default for p in positions)
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.oracle.prefix)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .cantor import orbit
@@ -92,8 +92,8 @@ def witness_check(registry: Registry, e: int, f: LimitFunction) -> WitnessReport
             f"limit values are settled through position {f.settled_through}, "
             f"need {checkpoint - 1} for program {e}")
     chosen_bit = f.blocks[e].chosen_bit
-    low = sum(1 for p in range(checkpoint)
-              if registry.eval_limit(e, f.values[p]) == 0)
+    generator = registry.entry(e).generator
+    low = checkpoint - sum(generator.bits(islice(f.values, checkpoint)))
     fraction_low = Fraction(low, checkpoint)
     fraction_high = Fraction(checkpoint - low, checkpoint)
     side = fraction_low if chosen_bit == 0 else fraction_high

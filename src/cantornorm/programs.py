@@ -13,12 +13,12 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
-from .generators import (BitGenerator, Oracle, _config_bit, _config_int,
-                         _config_table, _config_word, _sorted_table,
-                         generator_from_config)
+from .generators import (BitGenerator, Oracle, _check_position, _config_bit,
+                         _config_int, _config_table, _config_word,
+                         _sorted_table, generator_from_config)
 
 REGISTRY_FORMAT = "registry/1"
 
@@ -29,7 +29,12 @@ class HaltRule(ABC):
     rule: str = ""
 
     @abstractmethod
-    def steps_at(self, position: int) -> int: ...
+    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
+        """The halting times at a non-decreasing run of positions >= 0, in
+        one pass; the run is not checked."""
+
+    def steps_at(self, position: int) -> int:
+        return next(self.steps_over((_check_position(position),)))
 
     @abstractmethod
     def max_through(self, position: int) -> int:
@@ -42,27 +47,18 @@ class HaltRule(ABC):
         return {"rule": self.rule, **self.params()}
 
 
-def _check_position(position: int) -> None:
-    if position < 0:
-        raise ValueError("position must be >= 0")
-
-
 @dataclass(frozen=True)
 class ConstantHalt(HaltRule):
     steps: int = 0
     rule = "constant"
+    max_through = HaltRule.steps_at  # the rule is nondecreasing
 
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 
-    def steps_at(self, position: int) -> int:
-        _check_position(position)
-        return self.steps
-
-    def max_through(self, position: int) -> int:
-        _check_position(position)
-        return self.steps
+    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
+        return (self.steps for _ in positions)
 
     def params(self) -> dict:
         return {"steps": self.steps}
@@ -73,17 +69,14 @@ class LinearHalt(HaltRule):
     slope: int = 1
     intercept: int = 0
     rule = "linear"
+    max_through = HaltRule.steps_at  # nondecreasing since slope >= 0
 
     def __post_init__(self) -> None:
         if self.slope < 0 or self.intercept < 0:
             raise ValueError("slope and intercept must be >= 0")
 
-    def steps_at(self, position: int) -> int:
-        _check_position(position)
-        return self.slope * position + self.intercept
-
-    def max_through(self, position: int) -> int:
-        return self.steps_at(position)  # nondecreasing since slope >= 0
+    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
+        return (self.slope * p + self.intercept for p in positions)
 
     def params(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept}
@@ -103,12 +96,9 @@ class TableHalt(HaltRule):
             raise ValueError("steps must be >= 0")
         object.__setattr__(self, "entries", norm)
 
-    def steps_at(self, position: int) -> int:
-        _check_position(position)
-        for p, s in self.entries:
-            if p == position:
-                return s
-        return self.default
+    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
+        lookup, default = dict(self.entries).get, self.default
+        return (lookup(p, default) for p in positions)
 
     def max_through(self, position: int) -> int:
         _check_position(position)
@@ -187,15 +177,20 @@ class Registry:
             raise IndexError(f"unknown program index: {e}")
         return self.entries[e]
 
-    def eval_bounded(self, e: int, budget: int, position: int) -> int:
-        """Program e's value at `position` after `budget` steps: the settled
-        bit once the declared halting time is within budget, 0 before that."""
+    def eval_window(self, e: int, budget: int,
+                    positions: Sequence[int]) -> Iterator[int]:
+        """Program e's values after `budget` steps at a non-decreasing range or
+        sequence of positions >= 0, in one pass: at each, the settled bit once
+        the declared halting time is within budget, 0 before that."""
         entry = self.entry(e)
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if entry.halt.steps_at(position) <= budget:
-            return entry.generator.bit_at(position)
-        return 0
+        return (bit if steps <= budget else 0 for bit, steps in zip(
+            entry.generator.bits(positions), entry.halt.steps_over(positions)))
+
+    def eval_bounded(self, e: int, budget: int, position: int) -> int:
+        """Program e's value at `position` after `budget` steps."""
+        return next(self.eval_window(e, budget, (_check_position(position),)))
 
     def eval_limit(self, e: int, position: int) -> int:
         """Program e's settled bit at `position`."""

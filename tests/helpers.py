@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt, Oracle,
-                        OracleBits, PeriodicBits, RationalBits, Registry,
-                        TableBits, TableHalt, basic_sequence_from,
+from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
+                        LinearHalt, Oracle, OracleBits, PeriodicBits,
+                        RationalBits, Registry, TableBits, TableHalt,
+                        basic_sequence_from, champernowne_digit,
                         interval_frequency, orbit)
 
 
@@ -162,3 +163,42 @@ def checkpoint_orbit_low(value, f, checkpoint: int) -> Fraction:
     steps = checkpoint - 1
     points = orbit(value, basic_sequence_from(f, steps), steps)
     return interval_frequency(points, 0, Fraction(1, 2)).fraction
+
+
+def reference_bit(generator, p: int) -> int:
+    """Bit p of a generator by each kind's direct per-position formula: the
+    whole-number shift for rationals, a linear table scan, the pattern index,
+    the oracle prefix then its default. Champernowne bits come from
+    `champernowne_digit`, whose prefixes the generator tests pin."""
+    if isinstance(generator, ConstantBits):
+        return generator.bit
+    if isinstance(generator, PeriodicBits):
+        return generator.pattern[p % len(generator.pattern)]
+    if isinstance(generator, TableBits):
+        for q, b in generator.assignments:
+            if q == p:
+                return b
+        return generator.default
+    if isinstance(generator, RationalBits):
+        return (generator.numerator << (p + 1)) // generator.denominator % 2
+    if isinstance(generator, ChampernowneBits):
+        return champernowne_digit(2, p)
+    if isinstance(generator, OracleBits):
+        prefix = generator.oracle.prefix
+        return prefix[p] if p < len(prefix) else generator.oracle.default
+    raise TypeError(f"no reference for {generator!r}")
+
+
+def reference_steps(halt, p: int) -> int:
+    """Halting time at p by each rule's direct formula (a linear table scan
+    for tables)."""
+    if isinstance(halt, ConstantHalt):
+        return halt.steps
+    if isinstance(halt, LinearHalt):
+        return halt.slope * p + halt.intercept
+    if isinstance(halt, TableHalt):
+        for q, s in halt.entries:
+            if q == p:
+                return s
+        return halt.default
+    raise TypeError(f"no reference for {halt!r}")

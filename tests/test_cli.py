@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -161,6 +162,23 @@ class TestTraceLimit:
         assert payload["trace"][-1] == {"stage": most,
                                         "values": list(range(9))}
 
+    def test_small_snapshots_count_the_floor(self, registry_file, monkeypatch,
+                                             capsys):
+        demo = ["build", "--registry", str(self.DEMO / "demo_registry.json"),
+                "--oracle", str(self.DEMO / "demo_oracle.txt"),
+                "--stages", "2", "--max-pos", "0", "--trace", "1000000"]
+        assert cli.main(demo) == 2
+        assert "at least 8 per snapshot" in capsys.readouterr().err
+        # one-value snapshots are charged the floor of 8 values each
+        monkeypatch.setattr(cli, "TRACE_VALUE_LIMIT", 80)
+        argv = ["build", "--registry", registry_file(ZERO_REGISTRY),
+                "--stages", "2", "--max-pos", "0", "--trace"]
+        assert cli.main(argv + ["11"]) == 2
+        capsys.readouterr()
+        code, payload = run_json(argv + ["10"], capsys)
+        assert code == 0
+        assert len(payload["trace"]) == 10
+
     def test_trace_computes_the_limit_once(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, "limit_function", [construction, cli])
         code = cli.main(["build",
@@ -230,6 +248,26 @@ class TestVerify:
         path = registry_file(ZERO_REGISTRY)
         code = cli.main(["verify", "--registry", path, "--stages", "2"])
         assert code == 3
+
+
+    def test_growth_bound_violation_exits_three(self, registry_file,
+                                                monkeypatch, capsys):
+        real = cli.limit_function
+
+        def stretched(registry, max_position):
+            # f(8) = 17 passes block 1's closed bound 2 * (3**2 - 1) = 16
+            f = real(registry, max_position)
+            return dataclasses.replace(
+                f, values=f.values[:-1] + (f.values[-1] + 9,))
+        monkeypatch.setattr(cli, "limit_function", stretched)
+        path = registry_file(ZERO_REGISTRY)
+        code, payload = run_json(
+            ["verify", "--registry", path, "--stages", "2"], capsys)
+        assert code == 3
+        assert payload["all_passed"] is False
+        assert payload["format"] == "witness-report/1"
+        assert all(w["passed"] for w in payload["witnesses"])
+        assert all(r["non_normal"] for r in payload["non_normality"])
 
 
 class TestExpand:
