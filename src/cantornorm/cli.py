@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
-from .construction import (basic_sequence_from, block_of, limit_function,
-                           require_registry_depth, _stage_snapshot,
-                           stages_covering, verify_bound)
+from .construction import (STAGE_LIMIT, basic_sequence_from, block_of,
+                           limit_function, require_stages, _stage_snapshot,
+                           verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import interval_frequency, report_from_witnesses, star_discrepancy, witness_check
@@ -79,19 +79,6 @@ def _parse_unit_fraction(text: str) -> Fraction:
     return value
 
 
-def _check_explicit_stages(args: argparse.Namespace, registry: Registry,
-                           position: int) -> None:
-    """An explicit --stages must cover `position` and fit the registry."""
-    if args.stages is None:
-        return
-    required = stages_covering(position)
-    if args.stages < required:
-        raise ResourceLimitError(
-            f"positions through {position} need {required} stages, "
-            f"got {args.stages}", required_stages=required)
-    require_registry_depth(registry, args.stages)
-
-
 def _emit(args: argparse.Namespace, tag: str, header: list[str],
           rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
     """Write a command's output in the requested format, building only that
@@ -136,12 +123,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.trace is not None and args.format != "json":
         raise ConfigError("--trace is only available with --format json")
     registry = _registry(args)
-    # S stages always cover the default window [0, 3**S - 1], so it needs only
-    # the registry check, made before 3**S is computed so that a huge S is
-    # refused at once rather than after building that power
-    _check_explicit_stages(args, registry, args.max_pos or 0)
+    stages = require_stages(registry, args.max_pos or 0, args.stages)
     max_position = (args.max_pos if args.max_pos is not None
-                    else 3 ** args.stages - 1)
+                    else 3 ** stages - 1)
     if args.trace is not None:
         charge = args.trace * max(max_position + 1, TRACE_SNAPSHOT_FLOOR)
         if charge > TRACE_VALUE_LIMIT:
@@ -182,8 +166,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     registry = _registry(args)
-    require_registry_depth(registry, args.stages)
-    f = limit_function(registry, 3 ** args.stages - 1)
+    stages = require_stages(registry, 0, args.stages)
+    f = limit_function(registry, 3 ** stages - 1)
     witnesses = [witness_check(registry, e, f) for e in range(args.stages)]
     sources = [report_from_witnesses(registry, root, f,
                                      [witnesses[i] for i in group if i < args.stages])
@@ -220,7 +204,7 @@ def _orbit_request(args: argparse.Namespace,
     request consumes."""
     registry = _registry(args)
     x = _parse_unit_fraction(args.x)
-    _check_explicit_stages(args, registry, steps)
+    require_stages(registry, steps, args.stages)
     f = limit_function(registry, steps)
     return x, basic_sequence_from(f, steps)
 
@@ -278,6 +262,10 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
 
 
 def cmd_champernowne(args: argparse.Namespace) -> int:
+    if args.count > 3 ** STAGE_LIMIT:
+        raise ResourceLimitError(
+            f"{args.count} digits are more than 3**{STAGE_LIMIT} = "
+            f"{3 ** STAGE_LIMIT}")
     digits = champernowne_bits(args.base, args.count)
     _emit(args, CHAMPERNOWNE_FORMAT, ["index", "digit"], enumerate(digits),
           lambda: {"base": args.base, "count": args.count, "digits": digits})

@@ -74,28 +74,48 @@ def stages_covering(position: int) -> int:
     return 0 if t is None else t + 1
 
 
-def require_registry_depth(registry: Registry, stages: int,
-                           position: int | None = None) -> None:
-    """Refuse a run of `stages` stages on a registry with fewer entries.
+# Deepest run served. Each stage triples the positions a run scans, so a
+# deeper request is refused before any work instead of exhausting memory.
+STAGE_LIMIT = 14
 
-    A stage count the caller chose is a configuration error. One derived
-    from covering `position` is a resource limit naming the stages required.
+
+def require_stages(registry: Registry, position: int,
+                   stages: int | None = None) -> int:
+    """Stage count of a run covering `position`, refused before any work.
+
+    A count the caller fixed must cover `position`, else a resource limit
+    naming the count required, and fit the registry, else a configuration
+    error. A count derived from `position` that the registry cannot supply
+    is a resource limit naming the stages required. Either count is then
+    held to STAGE_LIMIT, also as a resource limit.
     """
-    if stages <= len(registry):
-        return
-    if position is None:
+    if stages is not None and stages < 0:
+        raise ValueError("stage count must be >= 0")
+    required = stages_covering(position)
+    if stages is None:
+        stages = required
+        if stages > len(registry):
+            raise ResourceLimitError(
+                f"covering position {position} takes {stages} stages, but "
+                f"the registry has only {len(registry)} entries",
+                required_stages=stages)
+    elif stages < required:
+        raise ResourceLimitError(
+            f"positions through {position} need {required} stages, "
+            f"got {stages}", required_stages=required)
+    elif stages > len(registry):
         raise ConfigError(
             f"{stages} stages need {stages} registry entries, but the "
             f"registry has {len(registry)} entries")
-    raise ResourceLimitError(
-        f"covering position {position} takes {stages} stages, but the "
-        f"registry has only {len(registry)} entries", required_stages=stages)
+    if stages > STAGE_LIMIT:
+        raise ResourceLimitError(
+            f"a run of {stages} stages exceeds the limit of {STAGE_LIMIT}",
+            required_stages=stages)
+    return stages
 
 
 def _run_stages(registry: Registry, stages: int,
                 budget: int) -> tuple[tuple[int, ...], tuple[BlockChoice, ...]]:
-    if stages < 0:
-        raise ValueError("stage count must be >= 0")
     values = [0]
     blocks: list[BlockChoice] = []
     for t in range(stages):
@@ -114,7 +134,7 @@ def _run_stages(registry: Registry, stages: int,
 
 def build_stage_function(registry: Registry, stage: int) -> StageFunction:
     """The stage-`stage` approximation: `stage` stages at step budget stage+1."""
-    require_registry_depth(registry, stage)
+    require_stages(registry, 0, stage)
     values, blocks = _run_stages(registry, stage, stage + 1)
     return StageFunction(stage, values, blocks)
 
@@ -127,10 +147,7 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
     settles all of them — so the result is the exact limit, not an observed
     plateau.
     """
-    if max_position < 0:
-        raise ValueError("max_position must be >= 0")
-    stages = stages_covering(max_position)
-    require_registry_depth(registry, stages, max_position)
+    stages = require_stages(registry, max_position)
     # needed[t] settles programs 0..t on all positions stages 1..t+1 consult
     needed = [max(registry.settle_budget(e, 2 * (3 ** (t + 1) - 1))
                   for e in range(t + 1)) for t in range(stages)]

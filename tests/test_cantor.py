@@ -204,3 +204,12 @@ def test_integer_recurrence_matches_fractions(b, bases, data):
 def test_rejects_count_and_x_out_of_range(function, x, n):
     with pytest.raises(ValueError):
         function(x, (2, 3, 5), n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DyadicValue(0, -1),
+    lambda: CantorDigits((1, 1), BasicSequence((2,))),
+], ids=["negative_exponent", "more_digits_than_bases"])
+def test_malformed_values_refused(make):
+    with pytest.raises(ValueError):
+        make()

@@ -485,6 +485,41 @@ class TestArgumentBounds:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestStageLimit:
+    DEEP = {"entries": [{"kind": "constant", "bit": 0}] * 20}
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work started")
+        monkeypatch.setattr(construction, "_run_stages", refuse)
+        monkeypatch.setattr(cli, "champernowne_bits", refuse)
+
+    @pytest.mark.parametrize("argv, required", [
+        (["expand", "--registry", "REG", "1/3", "100000000"], 17),
+        (["orbit", "--registry", "REG", "1/3", "50000000"], 17),
+        (["discrepancy", "--registry", "REG", "1/3", str(3 ** 14 + 2)], 15),
+        (["expand", "--registry", "REG", "--stages", "15", "1/3", "3"], 15),
+        (["build", "--registry", "REG", "--stages", "15"], 15),
+        (["verify", "--registry", "REG", "--stages", "15"], 15),
+        (["champernowne", "2", "300000000"], None),
+        (["champernowne", "2", str(3 ** 14 + 1)], None),
+    ])
+    def test_deep_request_refused_before_any_work(self, registry_file, capsys,
+                                                  argv, required):
+        path = registry_file(self.DEEP)
+        assert cli.main([path if a == "REG" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("required stages" in err) == (required is not None)
+        if required is not None:
+            assert f"(required stages: {required})" in err
+
+    def test_champernowne_count_at_the_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "champernowne_bits", lambda base, n: [])
+        assert cli.main(["champernowne", "2", str(3 ** 14)]) == 0
+
+
 class TestInputFiles:
     def test_deeply_nested_registry(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

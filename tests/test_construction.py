@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from cantornorm import (ConfigError, ConstantBits, ConstantHalt, PeriodicBits,
                         Registry, ResourceLimitError, StageFunction, TableBits,
                         TableHalt, basic_sequence_from, block_of,
-                        build_stage_function, limit_function, stage_trace,
-                        stages_covering, verify_bound)
+                        build_stage_function, construction, limit_function,
+                        stage_trace, stages_covering, verify_bound)
+from cantornorm.construction import STAGE_LIMIT, require_stages
 
 from helpers import (certificate_oracle, one_registry, random_registry,
                      stage_rule_oracle, zero_registry)
@@ -234,3 +235,48 @@ class TestHelpers:
     def test_block_of(self):
         assert block_of(0) is None
         assert [block_of(p) for p in (1, 2, 3, 8, 9, 27)] == [0, 0, 1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda reg: block_of(-1), "position must be >= 0"),
+    (lambda reg: build_stage_function(reg, -1), "stage count must be >= 0"),
+    (lambda reg: limit_function(reg, -1), "position must be >= 0"),
+    (lambda reg: stage_trace(reg, 2, [-1]), "stage index must be >= 0"),
+    (lambda reg: basic_sequence_from(limit_function(reg, 2), -1),
+     "prefix length must be >= 0"),
+], ids=["block_of", "build_stage_function", "limit_function", "stage_trace",
+        "basic_sequence_from"])
+def test_negative_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message) as info:
+        call(zero_registry(3))
+    assert type(info.value) is ValueError
+
+
+class TestRequireStages:
+    @pytest.mark.parametrize("entries, position, stages, error, required", [
+        (3, 26, 2, ResourceLimitError, 3),    # a fixed count must cover
+        (3, 243, 4, ResourceLimitError, 6),   # ... before it must fit
+        (3, 0, 4, ConfigError, None),         # a fixed count must fit
+        (3, 81, None, ResourceLimitError, 5),  # a derived count must fit
+        (20, 0, 21, ConfigError, None),       # the registry before the cap
+        (20, 0, 15, ResourceLimitError, 15),
+        (20, 3 ** 14, None, ResourceLimitError, 15),
+    ])
+    def test_rules_in_order(self, entries, position, stages, error, required):
+        with pytest.raises(error) as info:
+            require_stages(zero_registry(entries), position, stages)
+        assert getattr(info.value, "required_stages", None) == required
+
+    def test_returns_the_stage_count(self):
+        reg = zero_registry(20)
+        assert require_stages(reg, 26) == 3
+        assert require_stages(reg, 0, 5) == 5
+        assert require_stages(reg, 3 ** 14 - 1) == STAGE_LIMIT == 14
+
+    def test_deeper_limit_refused_before_any_stage(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(construction, "_run_stages", refuse)
+        with pytest.raises(ResourceLimitError) as info:
+            limit_function(zero_registry(20), 3 ** 14)
+        assert info.value.required_stages == 15

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cantornorm import (ChampernowneBits, ConstantBits, Oracle, OracleBits,
-                        PeriodicBits, RationalBits, TableBits,
-                        champernowne_bits, generator_from_config,
-                        periodic_bits, rational_bits, value_of_bits)
+from cantornorm import (ChampernowneBits, ConfigError, ConstantBits, Oracle,
+                        OracleBits, PeriodicBits, RationalBits, TableBits,
+                        champernowne_bits, champernowne_digit,
+                        generator_from_config, periodic_bits, rational_bits,
+                        value_of_bits)
 
 # the binary concatenation 0 1 10 11 100 101 110 111, flattened
 CHAMPERNOWNE_2_18 = [0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
@@ -102,6 +103,9 @@ class TestExactValues:
     def test_champernowne_has_none(self):
         assert ChampernowneBits().exact_value() is None
 
+    def test_champernowne_does_not_end_in_ones(self):
+        assert not ChampernowneBits().ends_in_ones()
+
     def test_oracle(self):
         gen = OracleBits(Oracle((1, 0, 1), default=0))
         assert gen.exact_value() == Fraction(5, 8)
@@ -161,3 +165,18 @@ class TestConfigParsing:
                 RationalBits(1, 3), ChampernowneBits()]
         for gen in gens:
             assert generator_from_config(gen.to_config(), None) == gen
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: champernowne_digit(2, -1), ValueError),
+    (lambda: champernowne_bits(2, -1), ValueError),
+    (lambda: TableBits(((1, 1), (1, 0))), ValueError),
+    (lambda: TableBits({-1: 1}), ValueError),
+    (lambda: ConstantBits().prefix(-1), ValueError),
+    (lambda: generator_from_config({"kind": "constant", "bit": 2}), ConfigError),
+    (lambda: generator_from_config({"kind": "table", "bits": []}), ConfigError),
+], ids=["digit_index", "digit_count", "duplicate_position",
+        "negative_position", "prefix_length", "config_bit", "config_table"])
+def test_invalid_arguments_refused(call, error):
+    with pytest.raises(error):
+        call()

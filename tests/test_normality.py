@@ -28,6 +28,10 @@ class TestIntervalFrequency:
         with pytest.raises(ValueError, match="empty sample"):
             interval_frequency([], 0, Fraction(1, 2))
 
+    def test_point_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"points must lie in \[0, 1\)"):
+            interval_frequency([Fraction(3, 2)], 0, 1)
+
     def test_malformed_interval(self):
         with pytest.raises(ValueError, match="interval"):
             interval_frequency([Fraction(1, 2)], Fraction(1, 2), Fraction(1, 2))

@@ -238,6 +238,42 @@ def test_from_config_raises_only_config_error(entries, extra):
         pass
 
 
+def _oracle_file(tmp_path, text):
+    path = tmp_path / "oracle.txt"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: LinearHalt(-1), ValueError, "must be >= 0"),
+    (lambda tmp: TableHalt({1: -1}), ValueError, "must be >= 0"),
+    (lambda tmp: ProgramEntry(-1, ConstantBits(0), ConstantHalt(0)),
+     ValueError, "index must be >= 0"),
+    (lambda tmp: Registry((
+        ProgramEntry(0, ConstantBits(0), ConstantHalt(0), alias_of=1),
+        ProgramEntry(1, ConstantBits(0), ConstantHalt(0)))),
+     ConfigError, "must name an earlier entry"),
+    (lambda tmp: Registry.from_config(
+        {"entries": [{"kind": "constant", "halt": 3}]}),
+     ConfigError, "'halt' must be an object"),
+    (lambda tmp: Registry.from_config([]), ConfigError, "JSON object"),
+    (lambda tmp: Registry.from_config({"entries": 3}),
+     ConfigError, "'entries' list"),
+    (lambda tmp: Registry.from_config({"oracle": 3, "entries": []}),
+     ConfigError, "'oracle' must be an object"),
+    (lambda tmp: Registry.from_config(
+        {"oracle": {"default": 2}, "entries": []}),
+     ConfigError, "'default' must be 0 or 1"),
+    (lambda tmp: load_oracle_file(_oracle_file(tmp, "01\ndefault=2\n")),
+     ConfigError, "default must be 0 or 1"),
+], ids=["linear_halt", "table_halt", "entry_index", "forward_alias",
+        "halt_config", "registry_config", "entries", "oracle_config",
+        "oracle_default", "oracle_file_default"])
+def test_malformed_programs_refused(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 class TestOracleFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "oracle.txt"
@@ -259,6 +295,14 @@ class TestOracleFile:
     def test_missing(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_oracle_file(tmp_path / "none.txt")
+
+    def test_unreadable_file(self, tmp_path, monkeypatch):
+        def deny(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+        path = _oracle_file(tmp_path, "01\n")
+        monkeypatch.setattr("pathlib.Path.read_text", deny)
+        with pytest.raises(ConfigError, match="cannot read oracle file"):
+            load_oracle_file(path)
 
     @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
     def test_non_utf8_input_is_config_error(self, tmp_path, load):
