@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 
 def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
@@ -154,16 +155,38 @@ def cantor_digits(x, q, n: int) -> CantorDigits:
 
 
 def cantor_value(d: CantorDigits) -> Fraction:
-    """Exact value of the finite series sum of a_n / (q_0 q_1 ... q_n)."""
-    total = Fraction(0)
-    denominator = 1
+    """Exact value of the finite series sum of a_n / (q_0 q_1 ... q_n), as
+    one fraction N/D built on integers: N <- N q_n + a_n and D <- D q_n."""
+    numerator, denominator = 0, 1
     for a, q in zip(d.digits, d.base):
+        numerator = numerator * q + a
         denominator *= q
-        total += Fraction(a, denominator)
-    return total
+    return Fraction(numerator, denominator)
 
 
 def orbit(x, q, n: int) -> list[Fraction]:
     """Points y_0 = x and y_{i+1} = y_i * q_i mod 1 for i < n, all exact."""
     b, _, remainders = _greedy(x, q, n)
     return [Fraction(r, b) for r in remainders]
+
+
+def orbit_low_counts(x, exponents: Iterable[int],
+                     checkpoints: Sequence[int]) -> list[int]:
+    """For each checkpoint c, how many orbit points y_0 .. y_{c-1} of x under
+    the bases 2**s_k lie in [0, 1/2), on integers: with x = a/b in lowest
+    terms, r_0 = a, r_{k+1} = (r_k << s_k) % b, and y_k < 1/2 iff 2 r_k < b.
+    The exponents are read lazily, as far as the largest checkpoint needs."""
+    value = Fraction(x)
+    if not 0 <= value < 1:
+        raise ValueError(f"x must lie in [0, 1), got {value}")
+    b, r, low, counts = value.denominator, value.numerator, 0, {0: 0}
+    wanted = set(checkpoints)
+    for k, s in enumerate(islice(chain((0,), exponents), max(wanted, default=0)), 1):
+        r = (r << s) % b
+        low += 2 * r < b
+        if k in wanted:
+            counts[k] = low
+    if wanted - counts.keys():
+        raise ValueError("checkpoints must lie in [0, exponents + 1], "
+                         f"got {sorted(wanted)}")
+    return [counts[c] for c in checkpoints]

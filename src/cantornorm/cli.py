@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
@@ -23,7 +23,8 @@ from .construction import (STAGE_LIMIT, basic_sequence_from, block_of,
                            verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
-from .normality import interval_frequency, report_from_witnesses, star_discrepancy, witness_check
+from .normality import (dyadic_frequencies, report_from_witnesses,
+                        star_discrepancy, witness_check)
 from .programs import Registry
 
 BUILD_FORMAT = "f-table/1"
@@ -39,6 +40,8 @@ CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 # its own JSON record, so that many tiny snapshots cannot pass the limit.
 TRACE_VALUE_LIMIT = 10 ** 6
 TRACE_SNAPSHOT_FLOOR = 8
+
+JSON_BATCH = 2 ** 14  # encoder chunks joined per write; one each is far slower
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,10 +84,10 @@ def _parse_unit_fraction(text: str) -> Fraction:
 
 def _emit(args: argparse.Namespace, tag: str, header: list[str],
           rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
-    """Write a command's output in the requested format, building only that
-    rendering: `rows` are the CSV rows under `header`, `fields()` returns the
-    JSON object's fields, whose Fractions render as "p/q". Both draw on the
-    same records; `rows` may be a one-pass iterator that `fields` reads too.
+    """Write a command's output in the requested format as it renders, to
+    `--out` or stdout: `rows` are the CSV rows under `header`, `fields()`
+    returns the JSON object's fields, whose Fractions render as "p/q". Both
+    draw on the same records; `rows` may be a one-pass iterator.
     """
     # Python caps int->str conversion at 4,300 digits to guard the parsing of
     # untrusted text. Inputs were parsed under that cap before this point;
@@ -93,25 +96,24 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.format == "json":
-            text = json.dumps({"format": tag, **fields()}, indent=2,
-                              sort_keys=True, default=_frac) + "\n"
-        else:
-            buf = io.StringIO()
-            buf.write(f"# format={tag}\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-            text = buf.getvalue()
+        with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as out:
+            if args.format == "json":
+                chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_frac
+                                          ).iterencode({"format": tag, **fields()})
+                for chunk in chunks:
+                    out.write(chunk + "".join(islice(chunks, JSON_BATCH - 1)))
+                out.write("\n")
+            else:
+                out.write(f"# format={tag}\n")
+                writer = csv.writer(out, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+            out.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.out or 'stdout'}: "
+                          f"{exc.strerror or exc}") from None
     finally:
         sys.set_int_max_str_digits(limit)
-    if not args.out:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc.strerror or exc}") from None
 
 
 BUILD_HEADER = ["position", "value", "block", "chosen_bit", "certificate",
@@ -236,9 +238,7 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
     x, q = _orbit_request(args, args.count - 1)
     points = orbit(x, q, args.count - 1)
     star = star_discrepancy(points)
-    frequencies = [interval_frequency(points, Fraction(j, 2 ** k),
-                                      Fraction(j + 1, 2 ** k))
-                   for k in range(1, 5) for j in range(2 ** k)]
+    frequencies = dyadic_frequencies(points, 4)
 
     def rows():
         # a generator, so that `star`, whose denominator may pass the digit

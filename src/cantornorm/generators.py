@@ -250,7 +250,18 @@ class ChampernowneBits(BitGenerator):
     bit_at = BitGenerator.bit_at
 
     def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        return (champernowne_digit(2, p) for p in positions)
+        # walk the numeral lengths along the run: the numerals of `length`
+        # bits, 2**(length-1) of them, fill digits start .. end - 1
+        length, start, end = 1, 1, 2
+        for p in positions:
+            if p == 0:
+                yield 0  # the numeral for 0
+                continue
+            while p >= end:
+                length += 1
+                start, end = end, end + (length << (length - 1))
+            numeral, digit = divmod(p - start, length)
+            yield ((1 << (length - 1)) + numeral) >> (length - 1 - digit) & 1
 
     def exact_value(self) -> None:
         return None

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice, pairwise
 from typing import Sequence
 
-from .cantor import orbit
-from .construction import LimitFunction, basic_sequence_from
+from .cantor import orbit_low_counts
+from .construction import LimitFunction
 from .errors import ConfigError
 from .programs import Registry
 
@@ -45,6 +45,26 @@ def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
     pts = _exact_points(points)
     hits = sum(1 for y in pts if low <= y < high)
     return FrequencyReport(len(pts), low, high, hits, Fraction(hits, len(pts)))
+
+
+def dyadic_frequencies(points: Sequence, depth: int) -> list[FrequencyReport]:
+    """`interval_frequency` on every [j/2**k, (j+1)/2**k) for k = 1..depth and
+    j ascending, binning each point p/q once, into bin (p << depth) // q."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    pts = _exact_points(points)
+    bins = [0] * 2 ** depth
+    for y in pts:
+        bins[(y.numerator << depth) // y.denominator] += 1
+    reports = []
+    for k in range(1, depth + 1):
+        width = 2 ** (depth - k)
+        for j in range(2 ** k):
+            hits = sum(bins[j * width:(j + 1) * width])
+            reports.append(FrequencyReport(len(pts), Fraction(j, 2 ** k),
+                                           Fraction(j + 1, 2 ** k), hits,
+                                           Fraction(hits, len(pts))))
+    return reports
 
 
 def star_discrepancy(points: Sequence) -> Fraction:
@@ -142,18 +162,16 @@ def non_normality_report(registry: Registry, source: int, f: LimitFunction,
 def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
                           witnesses: Sequence[WitnessReport]) -> NonNormalityReport:
     """`non_normality_report` of source `root` from its indices' witnesses;
-    the cross-check walks the orbit once, to the largest checkpoint."""
+    the cross-check walks the orbit's residues once, to the largest checkpoint."""
     half = Fraction(1, 2)
     generator = registry.entry(root).generator
     value = generator.exact_value()
     orbit_fractions = [None] * len(witnesses)
-    if value is not None and not generator.ends_in_ones() and witnesses:
-        steps = max(w.checkpoint for w in witnesses) - 1
-        points = orbit(value, basic_sequence_from(f, steps), steps)
-        # low[k]: how many of y_0 .. y_{k-1} lie in [0, 1/2)
-        low = list(accumulate((y < half for y in points), initial=0))
-        orbit_fractions = [Fraction(low[w.checkpoint], w.checkpoint)
-                           for w in witnesses]
+    if value is not None and not generator.ends_in_ones():
+        checkpoints = [w.checkpoint for w in witnesses]
+        exponents = (b - a for a, b in pairwise(f.values))  # bases 2**(f(k+1) - f(k))
+        orbit_fractions = [Fraction(low, c) for low, c in zip(
+            orbit_low_counts(value, exponents, checkpoints), checkpoints)]
     records = tuple(CheckpointRecord(
         w.program_index, w.checkpoint, w.chosen_bit, w.fraction_low,
         abs(w.fraction_low - half), w.passed, orbit_fraction,

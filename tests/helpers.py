@@ -157,6 +157,16 @@ def fraction_orbit(x, q, n: int) -> list[Fraction]:
     return points
 
 
+def fraction_series_value(digits, bases) -> Fraction:
+    """Value of the Cantor series sum of a_n / (q_0 ... q_n) as a running
+    `Fraction` sum, one addition per digit."""
+    total, product = Fraction(0), 1
+    for a, q in zip(digits, bases):
+        product *= q
+        total += Fraction(a, product)
+    return total
+
+
 def checkpoint_orbit_low(value, f, checkpoint: int) -> Fraction:
     """Low-half frequency of the orbit of `value` over the first `checkpoint`
     points, from an orbit built for this checkpoint alone."""

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from cantornorm import (BasicSequence, CantorDigits, DyadicValue, cantor_digits,
                         cantor_value, orbit, shift, value_of_bits)
-from helpers import fraction_digits, fraction_orbit
+from cantornorm.cantor import orbit_low_counts
+from helpers import fraction_digits, fraction_orbit, fraction_series_value
 
 
 class TestValueOfBits:
@@ -192,6 +193,51 @@ def test_integer_recurrence_matches_fractions(b, bases, data):
     n = data.draw(st.integers(0, len(bases)))
     assert cantor_digits(x, bases, n).digits == fraction_digits(x, bases, n)
     assert orbit(x, bases, n) == fraction_orbit(x, bases, n)
+
+
+# mixed bases: small ones of any kind and powers of two up to 2**40
+MIXED_BASES = st.one_of(st.integers(2, 1000),
+                        st.integers(1, 40).map(lambda s: 2 ** s))
+
+
+@given(bases=st.lists(MIXED_BASES, max_size=40), data=st.data())
+def test_value_matches_fraction_sum(bases, data):
+    """The integer accumulation N/D equals one `Fraction` addition per digit,
+    also for fewer digits than bases."""
+    n = data.draw(st.integers(0, len(bases)))
+    digits = tuple(data.draw(st.integers(0, q - 1)) for q in bases[:n])
+    d = CantorDigits(digits, BasicSequence(tuple(bases)))
+    assert cantor_value(d) == fraction_series_value(digits, bases)
+
+
+@given(b=st.integers(1, 2 ** 64),
+       exponents=st.lists(st.integers(1, 70), max_size=30), data=st.data())
+def test_low_counts_match_fraction_orbit(b, exponents, data):
+    """Each checkpoint's count of residues with 2 r < b equals the count of
+    points below 1/2 on the `Fraction` orbit, and the walk reads no exponent
+    past the largest checkpoint's last point."""
+    x = Fraction(data.draw(st.integers(0, b - 1)), b)
+    checkpoints = data.draw(st.lists(st.integers(0, len(exponents) + 1),
+                                     max_size=6))
+    points = fraction_orbit(x, [2 ** s for s in exponents], len(exponents))
+    expected = [sum(y < Fraction(1, 2) for y in points[:c]) for c in checkpoints]
+    steps = iter(exponents)
+    assert orbit_low_counts(x, steps, checkpoints) == expected
+    read = max(max(checkpoints, default=0) - 1, 0)
+    assert list(steps) == exponents[read:]
+
+
+@pytest.mark.parametrize("x, exponents, checkpoints", [
+    (Fraction(1), [1, 1], [2]),
+    (Fraction(-1, 3), [1, 1], [2]),
+    (Fraction(1, 3), [1], [3]),
+    (Fraction(1, 3), [1, 1], [-1]),
+    (Fraction(1, 3), [1, 1], [-1, 2]),
+])
+def test_low_counts_refuse_x_and_checkpoints_out_of_range(x, exponents,
+                                                          checkpoints):
+    with pytest.raises(ValueError):
+        orbit_low_counts(x, exponents, checkpoints)
 
 
 @pytest.mark.parametrize("function", [cantor_digits, orbit])

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cantornorm import cli, construction, normality
+from cantornorm import cantor, cli, construction, normality
 from cantornorm.normality import WitnessReport
 
 ZERO_REGISTRY = {
@@ -233,11 +235,15 @@ class TestVerify:
 
     def test_each_orbit_walked_once(self, registry_file, monkeypatch, capsys):
         # sources 0 (periodic, aliased by 3) and 1 (rational) have a value;
-        # champernowne source 2 has none
-        calls = count_calls(monkeypatch, "orbit", [normality])
+        # champernowne source 2 has none; the walk counts on residues and
+        # builds no orbit
+        calls = count_calls(monkeypatch, "orbit_low_counts", [normality])
+        orbits = count_calls(monkeypatch, "orbit", [cantor, cli])
         path = registry_file(MIXED_REGISTRY)
         assert cli.main(["verify", "--registry", path, "--stages", "4"]) == 0
-        assert [steps for _, _, steps in calls] == [3 ** 4 - 1, 3 ** 2 - 1]
+        assert ([max(checkpoints) - 1 for _, _, checkpoints in calls]
+                == [3 ** 4 - 1, 3 ** 2 - 1])
+        assert orbits == []
 
     def test_failing_witness_exits_three(self, registry_file, monkeypatch, capsys):
         def broken(registry, e, f):
@@ -463,6 +469,32 @@ class TestOutputErrors:
         assert cli.main(["build", "--registry", path, "--stages", "1",
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_write_failing_mid_stream(self, monkeypatch, capsys, fmt):
+        # 100,000 digits take many writes in either format; the third fails
+        writes = []
+
+        def write(text):
+            writes.append(text)
+            if len(writes) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(sys.stdout, "write", write)
+        limit = sys.get_int_max_str_digits()
+        code = cli.main(["champernowne", "2", "100000", "--format", fmt])
+        assert code == 1
+        assert len(writes) == 3
+        assert sys.get_int_max_str_digits() == limit
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_out_on_a_full_device(self, capsys):
+        code = cli.main(["champernowne", "2", "100000", "--out", "/dev/full"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestArgumentBounds:

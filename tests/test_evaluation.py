@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
-                        RationalBits, TableBits, TableHalt)
+                        RationalBits, TableBits, TableHalt, champernowne_digit)
 
 from helpers import random_registry, reference_bit, reference_steps
 
@@ -121,3 +121,20 @@ def test_eval_window_matches_reference(seed, budget, positions):
 def test_negative_position_refused(evaluate):
     with pytest.raises(ValueError, match="position must be >= 0"):
         evaluate(-1)
+
+
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10 ** 9)),
+                max_size=30))
+def test_champernowne_walk_matches_digits(gaps):
+    """The numeral walk equals `champernowne_digit` on runs with repeats and
+    with gaps that skip many numeral lengths at once."""
+    positions = list(accumulate(gaps))
+    assert (list(ChampernowneBits().bits(positions))
+            == [champernowne_digit(2, p) for p in positions])
+
+
+def test_champernowne_walk_contiguous():
+    # every numeral of up to 11 bits and the first few hundred of 12, across
+    # each change of numeral length
+    assert (list(ChampernowneBits().bits(range(25000)))
+            == [champernowne_digit(2, p) for p in range(25000)])

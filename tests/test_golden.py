@@ -42,6 +42,12 @@ def test_artifact_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(ARTIFACTS))
+def test_artifact_on_stdout_matches_golden(name, capsys):
+    assert cli.main(ARTIFACTS[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, args in sorted(ARTIFACTS.items()):

@@ -9,6 +9,7 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         TableBits, basic_sequence_from, interval_frequency,
                         limit_function, non_normality_report, orbit,
                         star_discrepancy, witness_check)
+from cantornorm.normality import dyadic_frequencies
 
 from helpers import (brute_star_discrepancy, checkpoint_orbit_low,
                      one_registry, random_halt, random_registry, zero_registry)
@@ -40,6 +41,27 @@ class TestIntervalFrequency:
                     .filter(lambda v: v < 1), min_size=1, max_size=20))
     def test_full_interval_is_one(self, points):
         assert interval_frequency(points, 0, 1).fraction == 1
+
+
+# points anywhere in [0, 1), and dyadic ones that sit on bin edges
+UNIT_POINTS = st.one_of(
+    st.fractions(min_value=0, max_value=1).filter(lambda v: v < 1),
+    st.integers(0, 127).map(lambda j: Fraction(j, 128)))
+
+
+class TestDyadicFrequencies:
+    @given(st.lists(UNIT_POINTS, min_size=1, max_size=30), st.integers(0, 6))
+    def test_matches_interval_frequency(self, points, depth):
+        expected = [interval_frequency(points, Fraction(j, 2 ** k),
+                                       Fraction(j + 1, 2 ** k))
+                    for k in range(1, depth + 1) for j in range(2 ** k)]
+        assert dyadic_frequencies(points, depth) == expected
+
+    @pytest.mark.parametrize("points, depth", [
+        ([], 2), ([Fraction(3, 2)], 2), ([Fraction(1, 2)], -1)])
+    def test_refuses_bad_samples_and_depths(self, points, depth):
+        with pytest.raises(ValueError):
+            dyadic_frequencies(points, depth)
 
 
 class TestStarDiscrepancy:
