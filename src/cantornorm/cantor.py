@@ -156,12 +156,20 @@ def cantor_digits(x, q, n: int) -> CantorDigits:
 
 def cantor_value(d: CantorDigits) -> Fraction:
     """Exact value of the finite series sum of a_n / (q_0 q_1 ... q_n), as
-    one fraction N/D built on integers: N <- N q_n + a_n and D <- D q_n."""
-    numerator, denominator = 0, 1
-    for a, q in zip(d.digits, d.base):
-        numerator = numerator * q + a
-        denominator *= q
-    return Fraction(numerator, denominator)
+    one fraction N/D built on integers by binary splitting, so that products
+    stay balanced: runs (N1, D1), (N2, D2) join as (N1 D2 + N2, D1 D2), and
+    a run of up to 32 terms takes N <- N q_n + a_n, D <- D q_n."""
+    def split(lo: int, hi: int) -> tuple[int, int]:
+        if hi - lo > 32:
+            mid = (lo + hi) // 2
+            (n1, d1), (n2, d2) = split(lo, mid), split(mid, hi)
+            return n1 * d2 + n2, d1 * d2
+        numerator, denominator = 0, 1
+        for a, q in zip(d.digits[lo:hi], d.base.bases[lo:hi]):
+            numerator = numerator * q + a
+            denominator *= q
+        return numerator, denominator
+    return Fraction(*split(0, len(d.digits)))
 
 
 def orbit(x, q, n: int) -> list[Fraction]:

@@ -14,13 +14,13 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
-from .construction import (STAGE_LIMIT, basic_sequence_from, block_of,
-                           limit_function, require_stages, _stage_snapshot,
-                           verify_bound)
+from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
+                           require_stages, _stage_snapshot, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import (dyadic_frequencies, report_from_witnesses,
@@ -41,7 +41,7 @@ CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 TRACE_VALUE_LIMIT = 10 ** 6
 TRACE_SNAPSHOT_FLOOR = 8
 
-JSON_BATCH = 2 ** 14  # encoder chunks joined per write; one each is far slower
+JSON_BATCH = 2 ** 14  # `_json` chunks joined per write; one each is far slower
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +72,52 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# JSON text of each scalar type an artifact holds, as `json.dumps` writes it
+_SCALARS = {str: _quote, int: int.__repr__, float: json.dumps, bool: json.dumps,
+            type(None): json.dumps, Fraction: lambda x: f'"{_frac(x)}"'}
+
+
+class _Table(NamedTuple):
+    """A JSON list of records sharing `keys`: each row holds one record's
+    scalar values in the order of `keys`; entries past them are left out."""
+
+    keys: Sequence[str]
+    rows: Iterable[Sequence]
+
+
+def _json(obj, indent: str = "\n") -> Iterator[str]:
+    """Chunks whose concatenation is `json.dumps(obj, indent=2,
+    sort_keys=True, default=_frac)`, one per dict entry, list item or table
+    row, for a str-keyed dict, list, tuple or `_Table` holding these and
+    `_SCALARS` types. (Python's own encoder is pure Python when it indents.)"""
+    kind, inner = type(obj), indent + "  "
+    if kind is _Table:  # keys sorted once, then one `%` template per row
+        order = sorted(range(len(obj.keys)), key=obj.keys.__getitem__)
+        fields = [f"{inner}  {_quote(obj.keys[i])}: ".replace("%", "%%") + "%s"
+                  for i in order]
+        template = "{" + ",".join(fields) + (inner if fields else "") + "}"
+        parts = (template % tuple([_SCALARS[type(v)](v)
+                                   for v in map(row.__getitem__, order)])
+                 for row in obj.rows)
+    elif kind is dict or kind is list or kind is tuple:
+        entries = (((_quote(k) + ": ", obj[k]) for k in sorted(obj))
+                   if kind is dict else (("", v) for v in obj))
+        parts = (head + _SCALARS[type(v)](v) if type(v) in _SCALARS
+                 else chain((head,), _json(v, inner)) for head, v in entries)
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as a JSON container")
+    opening, closing = "{}" if kind is dict else "[]"
+    sep = opening + inner
+    for part in parts:  # a scalar item's text, or a nested value's chunks
+        if type(part) is str:
+            yield sep + part
+        else:
+            yield sep + next(part)
+            yield from part
+        sep = "," + inner
+    yield indent + closing if sep[0] == "," else opening + closing
+
+
 def _parse_unit_fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -98,8 +144,7 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
     try:
         with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as out:
             if args.format == "json":
-                chunks = json.JSONEncoder(indent=2, sort_keys=True, default=_frac
-                                          ).iterencode({"format": tag, **fields()})
+                chunks = _json({"format": tag, **fields()})
                 for chunk in chunks:
                     out.write(chunk + "".join(islice(chunks, JSON_BATCH - 1)))
                 out.write("\n")
@@ -138,21 +183,23 @@ def cmd_build(args: argparse.Namespace) -> int:
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
     exponents = q.exponents
-
-    def row(p: int) -> tuple:
-        t = block_of(p)
-        return (p, f.values[p], t,
-                None if t is None else f.blocks[t].chosen_bit,
-                f.certificates[p], exponents[p] if p < max_position else None)
-
-    rows = map(row, range(max_position + 1))
+    steps = exponents + (None,)  # the last position starts no step
+    # position 0 is in no block; block t holds 3**t .. 3**(t+1) - 1, which
+    # the slices cut at max_position
+    spans = [(None, None, 0, 1)] + [
+        (b.block, b.chosen_bit, 3 ** b.block, 3 ** (b.block + 1))
+        for b in f.blocks]
+    rows = chain.from_iterable(
+        zip(range(lo, hi), f.values[lo:hi], repeat(t), repeat(bit),
+            f.certificates[lo:hi], steps[lo:hi])
+        for t, bit, lo, hi in spans)
 
     def fields() -> dict:
         payload = {
             "stages": args.stages,
             "stage_budget": f.stage_budget,
             "max_position": max_position,
-            "positions": [dict(zip(POSITION_KEYS, r)) for r in rows],
+            "positions": _Table(POSITION_KEYS, rows),
             "q_exponents": list(exponents),
             "q": list(q.bases),
         }

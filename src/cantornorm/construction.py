@@ -19,6 +19,7 @@ position gets a certificate budget beyond which its value never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
 from typing import Iterable
 
 from .cantor import BasicSequence
@@ -121,12 +122,12 @@ def _run_stages(registry: Registry, stages: int,
     for t in range(stages):
         cut = values[-1]
         quota = 2 * 3 ** t
-        hits: tuple[list[int], list[int]] = ([], [])
         window = range(cut + 1, cut + 2 * quota + 1)
-        for p, bit in zip(window, registry.eval_window(t, budget, window)):
-            hits[bit].append(p)
-        chosen_bit = 0 if len(hits[0]) >= quota else 1
-        chosen = tuple(hits[chosen_bit][:quota])
+        bits = bytes(registry.eval_window(t, budget, window))
+        chosen_bit = 0 if bits.count(0) >= quota else 1
+        if chosen_bit == 0:  # flip the bytes, so that 1 marks the kept
+            bits = bits.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+        chosen = tuple(islice(compress(window, bits), quota))
         values.extend(chosen)
         blocks.append(BlockChoice(t, chosen_bit, chosen))
     return tuple(values), tuple(blocks)

@@ -200,10 +200,12 @@ MIXED_BASES = st.one_of(st.integers(2, 1000),
                         st.integers(1, 40).map(lambda s: 2 ** s))
 
 
-@given(bases=st.lists(MIXED_BASES, max_size=40), data=st.data())
+@given(bases=st.one_of(st.lists(MIXED_BASES, max_size=40),
+                      st.lists(MIXED_BASES, min_size=33, max_size=150)),
+       data=st.data())
 def test_value_matches_fraction_sum(bases, data):
-    """The integer accumulation N/D equals one `Fraction` addition per digit,
-    also for fewer digits than bases."""
+    """The binary-split N/D equals one `Fraction` addition per digit, also
+    for fewer digits than bases and past the 32-digit runs it splits into."""
     n = data.draw(st.integers(0, len(bases)))
     digits = tuple(data.draw(st.integers(0, q - 1)) for q in bases[:n])
     d = CantorDigits(digits, BasicSequence(tuple(bases)))

@@ -8,8 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cantornorm import cantor, cli, construction, normality
+from cantornorm import (Registry, basic_sequence_from, block_of, cantor, cli,
+                        construction, limit_function, normality)
 from cantornorm.normality import WitnessReport
 
 ZERO_REGISTRY = {
@@ -119,6 +121,33 @@ class TestBuild:
         assert lines[1] == "position,value,block,chosen_bit,certificate,q_exponent"
         assert lines[2] == "0,0,,,0,1"
         assert lines[4] == "2,2,0,0,1,"
+
+    def test_rows_match_per_position_formula(self, registry_file, capsys):
+        # each position's block by `block_of`, and no step at the last one
+        path = registry_file({"entries": MIXED_REGISTRY["entries"] + [
+            {"kind": "constant", "bit": 1,
+             "halt": {"rule": "linear", "slope": 2, "intercept": 1}}]})
+        registry = Registry.from_file(path)
+        for max_pos in range(101):
+            f = limit_function(registry, max_pos)
+            exponents = basic_sequence_from(f, max_pos).exponents
+            expected = []
+            for p in range(max_pos + 1):
+                t = block_of(p)
+                expected.append((
+                    p, f.values[p], t,
+                    None if t is None else f.blocks[t].chosen_bit,
+                    f.certificates[p], exponents[p] if p < max_pos else None))
+            argv = ["build", "--registry", path, "--stages", "5",
+                    "--max-pos", str(max_pos)]
+            code, payload = run_json(argv, capsys)
+            assert code == 0
+            assert payload["positions"] == [
+                dict(zip(cli.POSITION_KEYS, row)) for row in expected]
+            assert cli.main(argv + ["--format", "csv"]) == 0
+            lines = capsys.readouterr().out.splitlines()[2:]
+            assert lines == [",".join("" if v is None else str(v) for v in row)
+                             for row in expected]
 
     def test_trace_requires_json(self, registry_file, capsys):
         path = registry_file(ZERO_REGISTRY)
@@ -495,6 +524,56 @@ class TestOutputErrors:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
+
+
+# scalars of every type the writer renders, each paired with itself
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
+    st.text(),  # non-ASCII and control characters included
+    st.builds(lambda digits, k: k * 10 ** digits, st.integers(4300, 4400),
+              st.integers(-99, 99)))  # past the int->str digit cap
+
+
+def _tables(values):
+    """(table, the list of dicts it stands for); rows may run past the keys."""
+    def table(keys, rows):
+        rows = [tuple(row) for row in rows]
+        return cli._Table(keys, rows), [dict(zip(keys, row)) for row in rows]
+    keys = st.one_of(st.text(max_size=3), st.sampled_from(["%", "%s"]))
+    return st.lists(keys, unique=True, max_size=4).flatmap(
+        lambda keys: st.builds(table, st.just(keys), st.lists(st.lists(
+            values, min_size=len(keys), max_size=len(keys) + 1), max_size=4)))
+
+
+def _containers(children):
+    """(payload for `cli._json`, the same payload for `json.dumps`)."""
+    def split(pairs):
+        return [a for a, _ in pairs], [b for _, b in pairs]
+    return st.one_of(
+        st.lists(children, max_size=4).map(split),
+        st.lists(children, max_size=4).map(split).map(
+            lambda ab: (tuple(ab[0]), ab[1])),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+            lambda d: ({k: a for k, (a, _) in d.items()},
+                       {k: b for k, (_, b) in d.items()})),
+        _tables(SCALARS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_containers(st.recursive(SCALARS.map(lambda v: (v, v)), _containers,
+                                max_leaves=30)))
+def test_json_writer_matches_json_dumps(pair):
+    """`cli._json` writes `json.dumps(indent=2, sort_keys=True)`'s bytes, with
+    a table written as its list of dicts, and a wide int in full as under
+    `_emit`'s lifted digit cap."""
+    obj, plain = pair
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert "".join(cli._json(obj)) == json.dumps(
+            plain, indent=2, sort_keys=True, default=cli._frac)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestArgumentBounds:
