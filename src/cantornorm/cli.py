@@ -41,7 +41,10 @@ CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 TRACE_VALUE_LIMIT = 10 ** 6
 TRACE_SNAPSHOT_FLOOR = 8
 
-JSON_BATCH = 2 ** 14  # `_json` chunks joined per write; one each is far slower
+# `_json` chunks joined per write; one each is far slower. A chunk can be a
+# whole table row (~140 bytes for build), so 2**10 keeps a write near 140 KB;
+# multi-megabyte joins each cost a fresh mapping and its page faults.
+JSON_BATCH = 2 ** 10
 
 
 class _Parser(argparse.ArgumentParser):
