@@ -1,8 +1,8 @@
 """Command-line front end emitting deterministic JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 resource limit (the message
-reports the required stage count), 3 witness or growth-bound failure (which
-would signal a builder bug, never a valid state).
+reports the required stage count) or out of memory, 3 witness or growth-bound
+failure (which would signal a builder bug, never a valid state).
 """
 
 from __future__ import annotations
@@ -399,6 +399,11 @@ def main(argv=None) -> int:
                   else f" (required stages: {exc.required_stages})")
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the handler has let go of the failed frames
+    print("error: out of memory; ask for fewer stages or a smaller COUNT",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

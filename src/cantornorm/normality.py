@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
+from math import ceil, lcm
 from typing import Sequence
 
 from .cantor import orbit_low_counts
@@ -26,14 +27,22 @@ class FrequencyReport:
     fraction: Fraction
 
 
-def _exact_points(points: Sequence) -> list[Fraction]:
-    pts = [Fraction(p) for p in points]
+def _common_denominator(points: Sequence) -> tuple[list[int], int]:
+    """The sample as integer numerators over one denominator `den`, the lcm
+    of the points' denominators: b for every orbit point r/b of x = a/b."""
+    # a given Fraction is used as is; rebuilding it costs more than all below
+    pts = [p if type(p) is Fraction else Fraction(p) for p in points]
     if not pts:
         raise ValueError("empty sample")
-    for y in pts:
-        if not 0 <= y < 1:
-            raise ValueError(f"points must lie in [0, 1), got {y}")
-    return pts
+    den = lcm(*{y.denominator for y in pts})
+    # a point already over `den`, as every orbit point but 0 is, keeps its
+    # own numerator rather than a copy
+    numerators = [y.numerator if y.denominator == den
+                  else y.numerator * (den // y.denominator) for y in pts]
+    if min(numerators) < 0 or max(numerators) >= den:
+        y = next(y for y in pts if not 0 <= y < 1)
+        raise ValueError(f"points must lie in [0, 1), got {y}")
+    return numerators, den
 
 
 def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
@@ -42,41 +51,45 @@ def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
     if not 0 <= low < high <= 1:
         raise ValueError(
             f"interval must satisfy 0 <= lo < hi <= 1, got [{low}, {high})")
-    pts = _exact_points(points)
-    hits = sum(1 for y in pts if low <= y < high)
-    return FrequencyReport(len(pts), low, high, hits, Fraction(hits, len(pts)))
+    numerators, den = _common_denominator(points)
+    # low*den <= r < high*den on integers r: ceil(low*den) <= r < ceil(high*den)
+    first, end = ceil(low * den), ceil(high * den)
+    hits = sum(1 for r in numerators if first <= r < end)
+    return FrequencyReport(len(numerators), low, high, hits,
+                           Fraction(hits, len(numerators)))
 
 
 def dyadic_frequencies(points: Sequence, depth: int) -> list[FrequencyReport]:
     """`interval_frequency` on every [j/2**k, (j+1)/2**k) for k = 1..depth and
-    j ascending, binning each point p/q once, into bin (p << depth) // q."""
+    j ascending, binning each point r/den once, into bin (r << depth) // den."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    pts = _exact_points(points)
+    numerators, den = _common_denominator(points)
     bins = [0] * 2 ** depth
-    for y in pts:
-        bins[(y.numerator << depth) // y.denominator] += 1
+    for r in numerators:
+        bins[(r << depth) // den] += 1
     reports = []
     for k in range(1, depth + 1):
         width = 2 ** (depth - k)
         for j in range(2 ** k):
             hits = sum(bins[j * width:(j + 1) * width])
-            reports.append(FrequencyReport(len(pts), Fraction(j, 2 ** k),
+            reports.append(FrequencyReport(len(numerators), Fraction(j, 2 ** k),
                                            Fraction(j + 1, 2 ** k), hits,
-                                           Fraction(hits, len(pts))))
+                                           Fraction(hits, len(numerators))))
     return reports
 
 
 def star_discrepancy(points: Sequence) -> Fraction:
     """Worst deviation of empirical mass from length over anchored intervals
     [0, t): with the sample sorted, max over i of
-    max(i/n - x_(i), x_(i) - (i-1)/n)."""
-    pts = sorted(_exact_points(points))
-    n = len(pts)
-    worst = Fraction(0)
-    for i, x in enumerate(pts, start=1):
-        worst = max(worst, Fraction(i, n) - x, x - Fraction(i - 1, n))
-    return worst
+    max(i/n - x_(i), x_(i) - (i-1)/n). On numerators x_(i) = r_i/den both
+    terms share the denominator n*den: with d_i = i*den - n*r_i they are
+    d_i and den - d_i."""
+    numerators, den = _common_denominator(points)
+    numerators.sort()
+    n = len(numerators)
+    gaps = [i * den - n * r for i, r in enumerate(numerators, start=1)]
+    return Fraction(max(0, max(gaps), den - min(gaps)), n * den)
 
 
 @dataclass(frozen=True)

@@ -526,6 +526,24 @@ class TestOutputErrors:
             f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n")
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", [
+        ["verify", "--stages", "2"], ["discrepancy", "1/3", "4"]])
+    def test_memory_error_is_a_resource_limit(self, registry_file, monkeypatch,
+                                              capsys, command):
+        def exhausted(registry, max_position):
+            raise MemoryError
+        monkeypatch.setattr(cli, "limit_function", exhausted)
+        path = registry_file(ZERO_REGISTRY)
+        code = cli.main([command[0], "--registry", path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 # scalars of every type the writer renders, each paired with itself
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),

@@ -9,7 +9,7 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         TableBits, basic_sequence_from, interval_frequency,
                         limit_function, non_normality_report, orbit,
                         star_discrepancy, witness_check)
-from cantornorm.normality import dyadic_frequencies
+from cantornorm.normality import FrequencyReport, dyadic_frequencies
 
 from helpers import (brute_star_discrepancy, checkpoint_orbit_low,
                      one_registry, random_halt, random_registry, zero_registry)
@@ -82,6 +82,84 @@ class TestStarDiscrepancy:
                     .filter(lambda v: v < 1), min_size=1, max_size=8))
     def test_matches_endpoint_enumeration_oracle(self, points):
         assert star_discrepancy(points) == brute_star_discrepancy(points)
+
+
+@st.composite
+def orbit_like_samples(draw):
+    """Residues r/b over one denominator b, as the orbit of x = a/b gives
+    them: b up to 2**160, or a power of two so that points sit on bin edges."""
+    b = draw(st.one_of(st.integers(1, 2 ** 160),
+                       st.integers(0, 160).map(lambda k: 2 ** k)))
+    residues = draw(st.lists(st.integers(0, b - 1), min_size=1, max_size=30))
+    return [Fraction(r, b) for r in residues]
+
+
+# mixed denominators, or one shared large one
+SAMPLES = st.one_of(st.lists(UNIT_POINTS, min_size=1, max_size=30),
+                    orbit_like_samples())
+
+STATISTICS = [star_discrepancy,
+              lambda points: dyadic_frequencies(points, 3),
+              lambda points: interval_frequency(points, Fraction(1, 3), 1)]
+
+
+class TestIntegerNumerators:
+    """The statistics, computed on numerators over one common denominator,
+    against routes that compare the `Fraction`s themselves."""
+
+    @given(SAMPLES)
+    def test_star_matches_endpoint_enumeration(self, points):
+        assert star_discrepancy(points) == brute_star_discrepancy(points)
+
+    @given(SAMPLES, st.integers(0, 6))
+    def test_dyadic_matches_interval_frequency(self, points, depth):
+        n = len(points)
+        expected = []
+        for k in range(1, depth + 1):
+            for j in range(2 ** k):
+                lo, hi = Fraction(j, 2 ** k), Fraction(j + 1, 2 ** k)
+                hits = sum(1 for y in points if lo <= y < hi)
+                report = FrequencyReport(n, lo, hi, hits, Fraction(hits, n))
+                assert interval_frequency(points, lo, hi) == report
+                expected.append(report)
+        assert dyadic_frequencies(points, depth) == expected
+
+    @given(SAMPLES, UNIT_POINTS, UNIT_POINTS)
+    def test_interval_bounds_between_numerators(self, points, a, b):
+        lo, hi = sorted((a, b))
+        if lo == hi:
+            hi = Fraction(1)
+        hits = sum(1 for y in points if lo <= y < hi)
+        assert interval_frequency(points, lo, hi).hits == hits
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    def test_empty_sample_wording(self, statistic):
+        with pytest.raises(ValueError) as caught:
+            statistic([])
+        assert str(caught.value) == "empty sample"
+
+    @pytest.mark.parametrize("statistic", STATISTICS)
+    @pytest.mark.parametrize("points, shown", [
+        ([Fraction(3, 2)], "3/2"),
+        ([Fraction(1, 3), 1, Fraction(3, 2)], "1"),
+        ([Fraction(1, 2), 1], "1"),
+        ([Fraction(1, 7), Fraction(-1, 2)], "-1/2"),
+    ])
+    def test_outside_point_wording(self, statistic, points, shown):
+        with pytest.raises(ValueError) as caught:
+            statistic(points)
+        assert str(caught.value) == f"points must lie in [0, 1), got {shown}"
+
+    def test_accepts_what_fraction_accepts(self):
+        given_points = [0, "1/3", 0.5, "3/4", Fraction(5, 6)]
+        exact = [Fraction(p) for p in given_points]
+        assert star_discrepancy(given_points) == Fraction(1, 5)
+        assert brute_star_discrepancy(exact) == Fraction(1, 5)
+        assert star_discrepancy(iter(given_points)) == Fraction(1, 5)
+        assert dyadic_frequencies(given_points, 3) == dyadic_frequencies(exact, 3)
+        assert (interval_frequency(given_points, "1/3", 1)
+                == interval_frequency(exact, Fraction(1, 3), 1))
+        assert interval_frequency(given_points, "1/3", 1).hits == 4
 
 
 class TestWitnessCheck:
