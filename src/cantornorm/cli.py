@@ -388,6 +388,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    out_of_memory = False
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -400,10 +401,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return 2
     except MemoryError:
-        pass  # reported below, once the handler has let go of the failed frames
-    print("error: out of memory; ask for fewer stages or a smaller COUNT",
-          file=sys.stderr)
-    return 2
+        out_of_memory = True  # reported below, once the failed frames are let go
+    if out_of_memory:
+        print("error: out of memory; ask for a smaller request", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

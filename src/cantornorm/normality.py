@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise
-from math import ceil, lcm
 from typing import Sequence
 
 from .cantor import orbit_low_counts
@@ -27,18 +26,28 @@ class FrequencyReport:
     fraction: Fraction
 
 
-def _common_denominator(points: Sequence) -> tuple[list[int], int]:
-    """The sample as integer numerators over one denominator `den`, the lcm
-    of the points' denominators: b for every orbit point r/b of x = a/b."""
+def _common_denominator(points: Sequence) -> tuple[list, int]:
+    """The sample as numerators over one denominator `den`, each point
+    checked to lie in [0, 1).
+
+    If every point's denominator divides the largest one, `den` is that one
+    and the numerators are integers: for the orbit r_k/b of x = a/b, `den`
+    is b or a divisor of b. Otherwise the numerators are the points
+    themselves, over den = 1, since the lcm of unrelated denominators can
+    make every numerator as long as the whole sample."""
     # a given Fraction is used as is; rebuilding it costs more than all below
     pts = [p if type(p) is Fraction else Fraction(p) for p in points]
     if not pts:
         raise ValueError("empty sample")
-    den = lcm(*{y.denominator for y in pts})
-    # a point already over `den`, as every orbit point but 0 is, keeps its
-    # own numerator rather than a copy
-    numerators = [y.numerator if y.denominator == den
-                  else y.numerator * (den // y.denominator) for y in pts]
+    denominators = {y.denominator for y in pts}
+    den = max(denominators)
+    if any(den % d for d in denominators):
+        numerators, den = pts, 1
+    else:
+        # a point already over `den`, as most orbit points are, keeps its
+        # own numerator rather than a copy
+        numerators = [y.numerator if y.denominator == den
+                      else y.numerator * (den // y.denominator) for y in pts]
     if min(numerators) < 0 or max(numerators) >= den:
         y = next(y for y in pts if not 0 <= y < 1)
         raise ValueError(f"points must lie in [0, 1), got {y}")
@@ -52,8 +61,7 @@ def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
         raise ValueError(
             f"interval must satisfy 0 <= lo < hi <= 1, got [{low}, {high})")
     numerators, den = _common_denominator(points)
-    # low*den <= r < high*den on integers r: ceil(low*den) <= r < ceil(high*den)
-    first, end = ceil(low * den), ceil(high * den)
+    first, end = low * den, high * den
     hits = sum(1 for r in numerators if first <= r < end)
     return FrequencyReport(len(numerators), low, high, hits,
                            Fraction(hits, len(numerators)))
@@ -61,21 +69,23 @@ def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
 
 def dyadic_frequencies(points: Sequence, depth: int) -> list[FrequencyReport]:
     """`interval_frequency` on every [j/2**k, (j+1)/2**k) for k = 1..depth and
-    j ascending, binning each point r/den once, into bin (r << depth) // den."""
+    j ascending, binning each point r/den once, into bin (r * 2**depth) // den."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     numerators, den = _common_denominator(points)
-    bins = [0] * 2 ** depth
+    scale = 2 ** depth
+    bins = [0] * scale
     for r in numerators:
-        bins[(r << depth) // den] += 1
+        bins[r * scale // den] += 1
+    n = len(numerators)
     reports = []
     for k in range(1, depth + 1):
         width = 2 ** (depth - k)
         for j in range(2 ** k):
             hits = sum(bins[j * width:(j + 1) * width])
-            reports.append(FrequencyReport(len(numerators), Fraction(j, 2 ** k),
+            reports.append(FrequencyReport(n, Fraction(j, 2 ** k),
                                            Fraction(j + 1, 2 ** k), hits,
-                                           Fraction(hits, len(numerators))))
+                                           Fraction(hits, n)))
     return reports
 
 

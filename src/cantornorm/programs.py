@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -103,19 +100,13 @@ class TableHalt(HaltRule):
         lookup, default = dict(self.entries).get, self.default
         return (lookup(p, default) for p in positions)
 
-    @cached_property
-    def _prefix_max(self) -> tuple[list[int], list[int]]:
-        """The listed positions, ascending, and the largest listed time
-        through each of them."""
-        return ([p for p, _ in self.entries],
-                list(accumulate((s for _, s in self.entries), max)))
-
     def max_through(self, position: int) -> int:
-        positions, highest = self._prefix_max
-        listed = bisect_right(positions, _check_position(position))
-        best = highest[listed - 1] if listed else self.default
+        _check_position(position)
+        listed = [s for p, s in self.entries if p <= position]
         # the default applies unless every position <= `position` is listed
-        return best if listed > position else max(best, self.default)
+        if len(listed) < position + 1:
+            listed.append(self.default)
+        return max(listed)
 
     def params(self) -> dict:
         return {"steps": {str(p): s for p, s in self.entries},

@@ -212,12 +212,3 @@ def reference_steps(halt, p: int) -> int:
                 return s
         return halt.default
     raise TypeError(f"no reference for {halt!r}")
-
-
-def reference_max_through(halt, position: int) -> int:
-    """Largest halting time at any p <= position of a table rule, by a scan
-    of every entry; the default counts unless each such p is listed."""
-    listed = [s for p, s in halt.entries if p <= position]
-    if len(listed) < position + 1:
-        listed.append(halt.default)
-    return max(listed)

@@ -7,14 +7,13 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
                         RationalBits, TableBits, TableHalt, champernowne_digit)
 
-from helpers import (random_registry, reference_bit, reference_max_through,
-                     reference_steps)
+from helpers import random_registry, reference_bit, reference_steps
 
 BITS = st.integers(0, 1)
 # small gaps walk contiguous runs and repeat positions; large ones jump
@@ -90,26 +89,6 @@ def test_steps_over_match_reference(case):
     expected = [reference_steps(halt, p) for p in positions]
     assert list(halt.steps_over(positions)) == expected
     assert [halt.steps_at(p) for p in positions] == expected
-
-
-TIMES = st.integers(0, 10 ** 6)
-
-
-@given(st.one_of(st.dictionaries(st.integers(0, 8), TIMES, max_size=8),
-                 # tables listing every position 0..k, so the default drops out
-                 st.lists(TIMES, max_size=10).map(lambda s: dict(enumerate(s)))),
-       TIMES, st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10 ** 6)),
-                       max_size=10))
-@example({0: 1}, 5, [0, 1])  # all but one position listed: the default counts
-def test_table_max_through_matches_reference(steps, default, positions):
-    halt = TableHalt(steps, default)
-    assert ([halt.max_through(p) for p in positions]
-            == [reference_max_through(halt, p) for p in positions])
-
-
-def test_max_through_refuses_negative_positions():
-    with pytest.raises(ValueError, match="position must be >= 0"):
-        TableHalt({0: 1}, 2).max_through(-1)
 
 
 @given(seed=st.integers(0, 10 ** 9), budget=st.integers(0, 60),

@@ -9,7 +9,8 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         TableBits, basic_sequence_from, interval_frequency,
                         limit_function, non_normality_report, orbit,
                         star_discrepancy, witness_check)
-from cantornorm.normality import FrequencyReport, dyadic_frequencies
+from cantornorm.normality import (FrequencyReport, _common_denominator,
+                                  dyadic_frequencies)
 
 from helpers import (brute_star_discrepancy, checkpoint_orbit_low,
                      one_registry, random_halt, random_registry, zero_registry)
@@ -103,6 +104,15 @@ STATISTICS = [star_discrepancy,
               lambda points: interval_frequency(points, Fraction(1, 3), 1)]
 
 
+def first_primes(count: int) -> list[int]:
+    primes, c = [], 2
+    while len(primes) < count:
+        if all(c % p for p in primes if p * p <= c):
+            primes.append(c)
+        c += 1
+    return primes
+
+
 class TestIntegerNumerators:
     """The statistics, computed on numerators over one common denominator,
     against routes that compare the `Fraction`s themselves."""
@@ -123,6 +133,21 @@ class TestIntegerNumerators:
                 assert interval_frequency(points, lo, hi) == report
                 expected.append(report)
         assert dyadic_frequencies(points, depth) == expected
+
+    def test_orbit_denominator_is_shared(self):
+        # x = 1/6 under base 2 gives 1/6, then 1/3, 2/3, 1/3, ...: later
+        # points reduce to 3, a divisor of 6, and 0 to denominator 1
+        points = [Fraction(0), Fraction(1, 6), Fraction(1, 3), Fraction(2, 3)]
+        assert _common_denominator(points) == ([0, 1, 2, 4], 6)
+        assert _common_denominator(points[2:]) == ([1, 2], 3)
+
+    def test_unrelated_denominators_stay_points(self):
+        # the lcm of 300 primes would make every numerator ~2,900 bits long
+        points = [Fraction(1, p) for p in first_primes(300)]
+        assert _common_denominator(points) == (points, 1)
+        assert _common_denominator(points[:2]) == (points[:2], 1)  # 1/2, 1/3
+        assert star_discrepancy(points) == brute_star_discrepancy(points)
+        assert dyadic_frequencies(points, 2)[0].hits == 299  # all but 1/2
 
     @given(SAMPLES, UNIT_POINTS, UNIT_POINTS)
     def test_interval_bounds_between_numerators(self, points, a, b):
