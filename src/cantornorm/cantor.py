@@ -44,10 +44,7 @@ class DyadicValue:
 def value_of_bits(bits: Sequence[int]) -> DyadicValue:
     """Value of a finite word w as the sum of w(n) / 2**(n+1)."""
     word = _as_word(bits)
-    numerator = 0
-    for b in word:
-        numerator = (numerator << 1) | b
-    return DyadicValue(numerator, len(word))
+    return DyadicValue(int("0" + "".join(["01"[b] for b in word]), 2), len(word))
 
 
 def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:

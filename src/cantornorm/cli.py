@@ -126,6 +126,10 @@ def _parse_unit_fraction(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational: {text!r} ({exc})") from None
+    # exponent notation expands past the digit cap that p/q text is held to
+    cap = sys.get_int_max_str_digits()
+    if cap and value.denominator >= 10 ** cap:
+        raise ConfigError(f"x has a denominator of more than {cap} digits")
     if not 0 <= value < 1:
         raise ConfigError(f"value must lie in [0, 1), got {text}")
     return value

@@ -196,10 +196,9 @@ class TableBits(BitGenerator):
         return (lookup(p, default) for p in positions)
 
     def exact_value(self) -> Fraction:
-        value = Fraction(self.default)
-        for p, b in self.assignments:
-            value += Fraction(b - self.default, 2 ** (p + 1))
-        return value
+        # the bits through the last listed position, then the default
+        n = max((p + 1 for p, _ in self.assignments), default=0)
+        return OracleBits(Oracle(self.prefix(n), self.default)).exact_value()
 
     def ends_in_ones(self) -> bool:
         return self.default == 1

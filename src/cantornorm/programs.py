@@ -208,10 +208,14 @@ class Registry:
         return entry.index
 
     def alias_groups(self) -> dict[int, list[int]]:
-        """Indices grouped by the non-alias entry they duplicate."""
+        """Indices grouped by the non-alias entry they duplicate, in one
+        forward pass: an alias names an earlier entry, whose root is known."""
+        roots: list[int] = []
         groups: dict[int, list[int]] = {}
         for entry in self.entries:
-            groups.setdefault(self.root_of(entry.index), []).append(entry.index)
+            root = entry.index if entry.alias_of is None else roots[entry.alias_of]
+            roots.append(root)
+            groups.setdefault(root, []).append(entry.index)
         return groups
 
     @classmethod

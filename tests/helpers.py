@@ -212,3 +212,22 @@ def reference_steps(halt, p: int) -> int:
                 return s
         return halt.default
     raise TypeError(f"no reference for {halt!r}")
+
+
+def shift_or_numerator(bits) -> int:
+    """Numerator of a finite word's value over 2**len(word), built one bit
+    at a time by a shift and an or, first bit most significant."""
+    numerator = 0
+    for b in bits:
+        numerator = (numerator << 1) | b
+    return numerator
+
+
+def fraction_sum_value(pairs, default: int) -> Fraction:
+    """Value of (position, bit) pairs over a constant default bit as a
+    running `Fraction` sum: the default's value, then each pair's difference
+    from the default at weight 2**-(position + 1)."""
+    value = Fraction(default)
+    for p, b in pairs:
+        value += Fraction(b - default, 2 ** (p + 1))
+    return value

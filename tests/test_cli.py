@@ -456,6 +456,33 @@ class TestLongValues:
         assert cli.main(["expand", "--registry", path, x, "3"]) == 1
         assert "error: not a rational" in capsys.readouterr().err
 
+    def test_exponent_notation_at_the_digit_cap(self, registry_file, capsys):
+        # 1e-4299 has a 4,300-digit denominator, the most the cap allows
+        path = registry_file(self.PERIODIC)
+        assert cli.main(["orbit", "--registry", path, "1e-4299", "2"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert points[0] == "1/1" + "0" * 4299
+
+    def test_exponent_notation_past_the_digit_cap(self, registry_file,
+                                                  capsys):
+        path = registry_file(self.PERIODIC)
+        assert cli.main(["orbit", "--registry", path, "1e-4300", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: x has a denominator of more than " \
+                               "4300 digits\n"
+
+    def test_no_digit_cap_no_refusal(self, registry_file, capsys):
+        path = registry_file(self.PERIODIC)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code = cli.main(["orbit", "--registry", path, "1e-4300", "2"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["x"]) == 4303
+
     def test_long_registry_integer_refused(self, tmp_path, capsys):
         path = tmp_path / "registry.json"
         path.write_text('{"entries": [{"kind": "rational", "numerator": 1, '

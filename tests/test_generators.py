@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantornorm import (ChampernowneBits, ConfigError, ConstantBits, Oracle,
                         OracleBits, PeriodicBits, RationalBits, TableBits,
                         champernowne_bits, champernowne_digit,
                         generator_from_config, periodic_bits, rational_bits,
                         value_of_bits)
+from helpers import fraction_sum_value, shift_or_numerator
 
 # the binary concatenation 0 1 10 11 100 101 110 111, flattened
 CHAMPERNOWNE_2_18 = [0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
@@ -119,6 +120,38 @@ class TestExactValues:
         n = 8 * len(pattern)
         approx = value_of_bits(gen.prefix(n)).fraction
         assert 0 <= gen.exact_value() - approx <= Fraction(1, 2 ** n - 1)
+
+
+class TestWordValues:
+    """A finite word's value from one integer conversion, against the per-bit
+    shift-or loop and the running `Fraction` sum."""
+
+    @given(st.lists(st.integers(0, 1) | st.booleans(), max_size=3000))
+    def test_numerator_matches_shift_or(self, word):
+        value = value_of_bits(word)
+        assert value.numerator == shift_or_numerator(word)
+        assert value.exponent == len(word)
+
+    @given(table=st.dictionaries(st.integers(0, 10_000), st.integers(0, 1),
+                                 max_size=30),
+           default=st.integers(0, 1))
+    @example(table={}, default=0)
+    @example(table={}, default=1)
+    @example(table={0: 1, 9999: 1}, default=1)  # listed bits equal the default
+    @example(table={3: 0, 7000: 0}, default=0)
+    def test_table_matches_fraction_sum(self, table, default):
+        assert (TableBits(table, default).exact_value()
+                == fraction_sum_value(table.items(), default))
+
+    @given(prefix=st.lists(st.integers(0, 1), max_size=3000),
+           default=st.integers(0, 1))
+    def test_oracle_matches_fraction_sum(self, prefix, default):
+        assert (OracleBits(Oracle(tuple(prefix), default)).exact_value()
+                == fraction_sum_value(enumerate(prefix), default))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_constant_matches_fraction_sum(self, bit):
+        assert ConstantBits(bit).exact_value() == fraction_sum_value((), bit)
 
 
 class TestOracle:

@@ -115,6 +115,34 @@ def test_alias_transparency(prog, budget, position):
     assert reg.alias_groups() == {0: [0, 1, 2]}
 
 
+@st.composite
+def alias_forest(draw):
+    """Registry programs: one shared (generator, halt) pair for each program,
+    an earlier index for each alias, with runs of up to 300 aliases that
+    each name the entry just before."""
+    programs = [(ConstantBits(0), ConstantHalt(0))]
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["program", "alias", "chain"]))
+        if kind == "program":
+            programs.append(programs[0])
+        elif kind == "alias":
+            programs.append(draw(st.integers(0, len(programs) - 1)))
+        else:
+            start = len(programs)
+            programs.extend(range(start - 1, start - 1 + draw(
+                st.integers(1, 300))))
+    return programs
+
+
+@given(alias_forest())
+def test_alias_groups_group_by_root(programs):
+    reg = Registry.assemble(programs)
+    expected: dict = {}
+    for i in range(len(reg)):
+        expected.setdefault(reg.root_of(i), []).append(i)
+    assert list(reg.alias_groups().items()) == list(expected.items())
+
+
 class TestRegistryValidation:
     def test_index_must_match_position(self):
         entry = ProgramEntry(3, ConstantBits(0), ConstantHalt(0))
