@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -121,13 +122,28 @@ def _json(obj, indent: str = "\n") -> Iterator[str]:
     yield indent + closing if sep[0] == "," else opening + closing
 
 
+# the exponent of `Fraction`'s decimal grammar, `_` separators included
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_unit_fraction(text: str) -> Fraction:
+    # exponent notation expands past the digit cap that p/q text is held to,
+    # and `Fraction` computes 10**exponent before its digits can be counted.
+    # Beyond cap + len(text), a negative exponent leaves more than `cap`
+    # digits in the reduced denominator and a positive one makes x zero or
+    # at least 1, so either is refused unparsed.
+    cap = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text)
+    if cap and exponent:
+        bound = cap + len(text)
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(bound)) or int(digits) > bound:
+            raise ConfigError(
+                f"x has an exponent of more than {bound} in magnitude")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"not a rational: {text!r} ({exc})") from None
-    # exponent notation expands past the digit cap that p/q text is held to
-    cap = sys.get_int_max_str_digits()
     if cap and value.denominator >= 10 ** cap:
         raise ConfigError(f"x has a denominator of more than {cap} digits")
     if not 0 <= value < 1:

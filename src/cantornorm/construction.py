@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
+from operator import sub
 from typing import Iterable
 
 from .cantor import BasicSequence
@@ -123,7 +124,7 @@ def _run_stages(registry: Registry, stages: int,
         cut = values[-1]
         quota = 2 * 3 ** t
         window = range(cut + 1, cut + 2 * quota + 1)
-        bits = bytes(registry.eval_window(t, budget, window))
+        bits = registry.eval_window(t, budget, window)
         chosen_bit = 0 if bits.count(0) >= quota else 1
         if chosen_bit == 0:  # flip the bytes, so that 1 marks the kept
             bits = bits.translate(bytes.maketrans(b"\0\1", b"\1\0"))
@@ -199,7 +200,7 @@ def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
             f"limit values are settled through position {f.settled_through}, "
             f"need {n}")
     return BasicSequence.from_exponents(
-        tuple(f.values[i + 1] - f.values[i] for i in range(n)))
+        tuple(map(sub, islice(f.values, 1, n + 1), f.values)))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ classifications against true mod-1 orbit points.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -87,6 +88,20 @@ def _sorted_table(items: Mapping[int, int] | Sequence[tuple[int, int]]
     return table
 
 
+def _table_window(table: tuple[tuple[int, int], ...], default: int,
+                  start: int, stop: int, value=int) -> bytes:
+    """One byte per position in [start, stop): value(default), and
+    value(v) at each (position, v) pair of the sorted table inside the
+    window, found by bisection."""
+    out = bytearray((value(default),)) * (stop - start)
+    for p, v in table[bisect_left(table, (start,)):bisect_left(table, (stop,))]:
+        out[p - start] = value(v)
+    return bytes(out)
+
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
+
+
 def _check_position(position: int) -> int:
     if position < 0:
         raise ValueError("position must be >= 0")
@@ -99,19 +114,23 @@ class BitGenerator(ABC):
     kind: str = ""
 
     @abstractmethod
+    def window(self, start: int, stop: int) -> bytes:
+        """One 0/1 byte per position in [start, stop), empty when stop <=
+        start; both must be >= 0, which is not checked."""
+
     def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        """The bits at a non-decreasing run of positions >= 0, in one pass;
-        the run is not checked."""
+        """The bits at positions >= 0, one one-position window each."""
+        return map(self.bit_at, positions)
 
     def bit_at(self, position: int) -> int:
         # each kind re-binds bit_at in its class body: perfbench/tracing.py
         # wraps it per class until a run-stats side channel replaces that
-        return next(self.bits((_check_position(position),)))
+        return self.window(_check_position(position), position + 1)[0]
 
     def prefix(self, n: int) -> list[int]:
         if n < 0:
             raise ValueError("bit count must be >= 0")
-        return list(self.bits(range(n)))
+        return list(self.window(0, n))
 
     @abstractmethod
     def exact_value(self) -> Fraction | None:
@@ -137,8 +156,8 @@ class ConstantBits(BitGenerator):
     def __post_init__(self) -> None:
         _as_word((self.bit,))
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        return (self.bit for _ in positions)
+    def window(self, start: int, stop: int) -> bytes:
+        return bytes((self.bit,)) * (stop - start)
 
     def exact_value(self) -> Fraction:
         return Fraction(self.bit)
@@ -161,9 +180,11 @@ class PeriodicBits(BitGenerator):
         if not self.pattern:
             raise ValueError("pattern must be nonempty")
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        pattern, n = self.pattern, len(self.pattern)
-        return (pattern[p % n] for p in positions)
+    def window(self, start: int, stop: int) -> bytes:
+        # the pattern rotated to `start`, repeated past `stop` and cut there
+        k, width = start % len(self.pattern), stop - start
+        rotated = bytes(self.pattern[k:] + self.pattern[:k])
+        return (rotated * (width // len(rotated) + 1))[:max(width, 0)]
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.pattern)
@@ -191,9 +212,8 @@ class TableBits(BitGenerator):
         _as_word((self.default,))
         object.__setattr__(self, "assignments", norm)
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        lookup, default = dict(self.assignments).get, self.default
-        return (lookup(p, default) for p in positions)
+    def window(self, start: int, stop: int) -> bytes:
+        return _table_window(self.assignments, self.default, start, stop)
 
     def exact_value(self) -> Fraction:
         # the bits through the last listed position, then the default
@@ -222,14 +242,17 @@ class RationalBits(BitGenerator):
             raise ValueError(
                 f"need 0 <= p < q, got {self.numerator}/{self.denominator}")
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        # digit extraction (Bailey, Borwein and Plouffe 1997): carry
-        # r = numerator * 2**p mod denominator; bit p is floor(2r / denominator)
-        b, r, at = self.denominator, self.numerator, 0
-        for p in positions:
-            r = r * pow(2, p - at, b) % b
-            at = p
-            yield 2 * r // b
+    def window(self, start: int, stop: int) -> bytes:
+        # digit extraction (Bailey, Borwein and Plouffe 1997): with
+        # r = numerator * 2**start mod denominator, the w bits from `start`
+        # are floor(r * 2**w / denominator) as a w-bit numeral
+        width = stop - start
+        if width <= 0:
+            return b""
+        b = self.denominator
+        r = self.numerator * pow(2, start, b) % b
+        return format((r << width) // b, f"0{width}b").encode().translate(
+            _DIGIT_BYTES)
 
     def exact_value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
@@ -248,19 +271,22 @@ class ChampernowneBits(BitGenerator):
     kind = "champernowne"
     bit_at = BitGenerator.bit_at
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
-        # walk the numeral lengths along the run: the numerals of `length`
-        # bits, 2**(length-1) of them, fill digits start .. end - 1
-        length, start, end = 1, 1, 2
-        for p in positions:
-            if p == 0:
-                yield 0  # the numeral for 0
-                continue
-            while p >= end:
-                length += 1
-                start, end = end, end + (length << (length - 1))
-            numeral, digit = divmod(p - start, length)
-            yield ((1 << (length - 1)) + numeral) >> (length - 1 - digit) & 1
+    def window(self, start: int, stop: int) -> bytes:
+        # the numerals from `numeral` to 2**length - 1 have `length` bits and
+        # fill the digits from `at` on; 0 is the one-bit numeral before 1
+        numeral, length, at = 0, 1, 0
+        while start >= (end := at + ((1 << length) - numeral) * length):
+            numeral, length, at = 1 << length, length + 1, end
+        skipped, skip = divmod(start - at, length)
+        numeral, at = numeral + skipped, start - skip
+        # join only the numerals that cover the window, a length at a time
+        parts = []
+        while at < stop:
+            last = min(1 << length, numeral - (at - stop) // length)
+            parts.append("".join([format(k, "b") for k in range(numeral, last)]))
+            numeral, length, at = last, length + 1, at + (last - numeral) * length
+        return "".join(parts)[skip:skip + stop - start].encode().translate(
+            _DIGIT_BYTES)
 
     def exact_value(self) -> None:
         return None
@@ -280,10 +306,10 @@ class OracleBits(BitGenerator):
     kind = "oracle-bit"
     bit_at = BitGenerator.bit_at
 
-    def bits(self, positions: Iterable[int]) -> Iterator[int]:
+    def window(self, start: int, stop: int) -> bytes:
         prefix, default = self.oracle.prefix, self.oracle.default
-        n = len(prefix)
-        return (prefix[p] if p < n else default for p in positions)
+        return (bytes(prefix[start:stop])
+                + bytes((default,)) * (stop - max(start, len(prefix))))
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.oracle.prefix)

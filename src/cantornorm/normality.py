@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import islice
+from operator import sub
 from typing import Sequence
 
 from .cantor import orbit_low_counts
@@ -135,8 +136,9 @@ def witness_check(registry: Registry, e: int, f: LimitFunction) -> WitnessReport
             f"limit values are settled through position {f.settled_through}, "
             f"need {checkpoint - 1} for program {e}")
     chosen_bit = f.blocks[e].chosen_bit
-    generator = registry.entry(e).generator
-    low = checkpoint - sum(generator.bits(islice(f.values, checkpoint)))
+    # one window through f(checkpoint - 1), read at the values f(p)
+    window = registry.entry(e).generator.window(0, f.values[checkpoint - 1] + 1)
+    low = checkpoint - sum(map(window.__getitem__, islice(f.values, checkpoint)))
     fraction_low = Fraction(low, checkpoint)
     fraction_high = Fraction(checkpoint - low, checkpoint)
     side = fraction_low if chosen_bit == 0 else fraction_high
@@ -192,7 +194,8 @@ def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
     orbit_fractions = [None] * len(witnesses)
     if value is not None and not generator.ends_in_ones():
         checkpoints = [w.checkpoint for w in witnesses]
-        exponents = (b - a for a, b in pairwise(f.values))  # bases 2**(f(k+1) - f(k))
+        # bases 2**(f(k+1) - f(k))
+        exponents = map(sub, islice(f.values, 1, None), f.values)
         orbit_fractions = [Fraction(low, c) for low, c in zip(
             orbit_low_counts(value, exponents, checkpoints), checkpoints)]
     records = tuple(CheckpointRecord(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import ConfigError
 from .generators import (BitGenerator, Oracle, _check_position, _config_bit,
                          _config_int, _config_table, _config_word,
-                         _sorted_table, generator_from_config)
+                         _sorted_table, _table_window, generator_from_config)
 
 REGISTRY_FORMAT = "registry/1"
 
@@ -35,6 +35,12 @@ class HaltRule(ABC):
 
     def steps_at(self, position: int) -> int:
         return next(self.steps_over((_check_position(position),)))
+
+    @abstractmethod
+    def settled(self, start: int, stop: int, budget: int) -> bytes:
+        """One byte per position in [start, stop), 1 where the halting time
+        is within `budget`, else 0; empty when stop <= start; both must be
+        >= 0, which is not checked."""
 
     @abstractmethod
     def max_through(self, position: int) -> int:
@@ -60,6 +66,9 @@ class ConstantHalt(HaltRule):
     def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
         return (self.steps for _ in positions)
 
+    def settled(self, start: int, stop: int, budget: int) -> bytes:
+        return bytes((self.steps <= budget,)) * (stop - start)
+
     def params(self) -> dict:
         return {"steps": self.steps}
 
@@ -77,6 +86,13 @@ class LinearHalt(HaltRule):
 
     def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
         return (self.slope * p + self.intercept for p in positions)
+
+    def settled(self, start: int, stop: int, budget: int) -> bytes:
+        # settled exactly below `cut`; a budget below the intercept puts it
+        # at or under 0, and slope 0 settles all or nothing
+        cut = ((budget - self.intercept) // self.slope + 1 if self.slope
+               else stop if self.intercept <= budget else start)
+        return b"\1" * (min(cut, stop) - start) + b"\0" * (stop - max(cut, start))
 
     def params(self) -> dict:
         return {"slope": self.slope, "intercept": self.intercept}
@@ -99,6 +115,10 @@ class TableHalt(HaltRule):
     def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
         lookup, default = dict(self.entries).get, self.default
         return (lookup(p, default) for p in positions)
+
+    def settled(self, start: int, stop: int, budget: int) -> bytes:
+        return _table_window(self.entries, self.default, start, stop,
+                             lambda steps: steps <= budget)
 
     def max_through(self, position: int) -> int:
         _check_position(position)
@@ -177,20 +197,27 @@ class Registry:
             raise IndexError(f"unknown program index: {e}")
         return self.entries[e]
 
-    def eval_window(self, e: int, budget: int,
-                    positions: Sequence[int]) -> Iterator[int]:
-        """Program e's values after `budget` steps at a non-decreasing range or
-        sequence of positions >= 0, in one pass: at each, the settled bit once
-        the declared halting time is within budget, 0 before that."""
+    def eval_window(self, e: int, budget: int, positions: Sequence[int]) -> bytes:
+        """Program e's values after `budget` steps, one byte per position of
+        a range or sequence of positions >= 0: at each, the settled bit once
+        the declared halting time is within budget, 0 before that. A range
+        of step 1 is one window, other positions one window each."""
         entry = self.entry(e)
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        return (bit if steps <= budget else 0 for bit, steps in zip(
-            entry.generator.bits(positions), entry.halt.steps_over(positions)))
+        if not (isinstance(positions, range) and positions.step == 1):
+            return b"".join(self.eval_window(e, budget, range(p, p + 1))
+                            for p in positions)
+        start, stop = positions.start, positions.stop
+        # the bits ANDed with the settled mask, each read as one integer
+        bits = int.from_bytes(entry.generator.window(start, stop), "little")
+        mask = int.from_bytes(entry.halt.settled(start, stop, budget), "little")
+        return (bits & mask).to_bytes(len(positions), "little")
 
     def eval_bounded(self, e: int, budget: int, position: int) -> int:
         """Program e's value at `position` after `budget` steps."""
-        return next(self.eval_window(e, budget, (_check_position(position),)))
+        return self.eval_window(
+            e, budget, range(_check_position(position), position + 1))[0]
 
     def eval_limit(self, e: int, position: int) -> int:
         """Program e's settled bit at `position`."""

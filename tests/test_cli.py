@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -482,6 +483,34 @@ class TestLongValues:
             sys.set_int_max_str_digits(limit)
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["x"]) == 4303
+
+    def test_huge_exponent_refused_before_parsing(self, registry_file,
+                                                  capsys):
+        # parsing 1e-30000000 would first compute 10**30000000, which takes
+        # tens of seconds
+        path = registry_file(self.PERIODIC)
+        start = time.perf_counter()
+        code = cli.main(["orbit", "--registry", path, "1e-30000000", "2"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and elapsed < 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("x", [
+        "1e-" + "9" * 4000,
+        "1e" + "9" * 4000,
+        "1E-" + "1_" * 3000 + "1",
+        "0.5e-" + "0" * 5000 + "1",
+    ])
+    def test_long_exponent_refused(self, registry_file, capsys, x):
+        path = registry_file(self.PERIODIC)
+        assert cli.main(["orbit", "--registry", path, x, "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_long_registry_integer_refused(self, tmp_path, capsys):
         path = tmp_path / "registry.json"

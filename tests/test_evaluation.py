@@ -1,13 +1,14 @@
 """The one-pass run methods (`BitGenerator.bits`, `HaltRule.steps_over`,
 `Registry.eval_window`) and their one-position calls against the per-kind
 reference formulas in `helpers`, on non-decreasing runs of positions whose
-gaps reach 10**6."""
+gaps reach 10**6; and the whole-window methods (`BitGenerator.window`,
+`HaltRule.settled`) against the same formulas, position by position."""
 
 import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
@@ -138,3 +139,114 @@ def test_champernowne_walk_contiguous():
     # each change of numeral length
     assert (list(ChampernowneBits().bits(range(25000)))
             == [champernowne_digit(2, p) for p in range(25000)])
+
+
+# windows from 0, from just above it and from far out
+STARTS = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 10 ** 9))
+WIDTHS = st.integers(0, 70)
+
+
+def champernowne_boundaries():
+    """First digit of the numerals of each length L: digit 0 is the numeral
+    for 0, then L * 2**(L-1) digits per length, so the run of length L
+    begins at (L - 2) * 2**(L - 1) + 2."""
+    return st.builds(lambda length, offset: max(
+        (length - 2) * 2 ** (length - 1) + 2 + offset, 0),
+        st.integers(1, 34), st.integers(-3, 3))
+
+
+def expected_bit(generator, p: int) -> int:
+    """`reference_bit`, but far-out rational bits by the per-position
+    residue, floor(2 * (a * 2**p mod b) / b), since the whole-number shift
+    would build an integer of p bits."""
+    if isinstance(generator, RationalBits) and p > 10 ** 5:
+        b = generator.denominator
+        return 2 * (generator.numerator * pow(2, p, b) % b) // b
+    return reference_bit(generator, p)
+
+
+@st.composite
+def generator_windows(draw):
+    kind = draw(st.sampled_from(["constant", "periodic", "table", "rational",
+                                 "champernowne", "oracle-bit"]))
+    start = draw(STARTS)
+    if kind == "constant":
+        generator = ConstantBits(draw(BITS))
+    elif kind == "periodic":
+        generator = PeriodicBits(tuple(draw(st.lists(BITS, min_size=1,
+                                                     max_size=8))))
+    elif kind == "table":
+        # windows that straddle listed entries, each entry up to 70 past start
+        keys = st.integers(0, 300)
+        generator = TableBits(draw(st.dictionaries(keys, BITS, max_size=8)),
+                              draw(BITS))
+        listed = [p for p, _ in generator.assignments] or [0]
+        start = draw(st.one_of(keys, st.builds(
+            lambda p, back: max(p - back, 0), st.sampled_from(listed),
+            st.integers(0, 70))))
+    elif kind == "rational":
+        b = draw(st.integers(1, 2 ** 64))
+        generator = RationalBits(draw(st.integers(0, b - 1)), b)
+    elif kind == "champernowne":
+        generator = ChampernowneBits()
+        start = draw(st.one_of(STARTS, champernowne_boundaries()))
+    else:
+        prefix = tuple(draw(st.lists(BITS, max_size=64)))
+        generator = OracleBits(Oracle(prefix, draw(BITS)))
+        # windows that straddle the end of the prefix
+        start = draw(st.integers(0, len(prefix) + 3))
+    return generator, start, start + draw(WIDTHS)
+
+
+@given(generator_windows())
+def test_window_matches_reference(case):
+    generator, start, stop = case
+    window = generator.window(start, stop)
+    assert type(window) is bytes
+    assert list(window) == [expected_bit(generator, p)
+                            for p in range(start, stop)]
+
+
+@st.composite
+def halt_windows(draw):
+    rule = draw(st.sampled_from(["constant", "linear", "table"]))
+    steps = st.integers(0, 10 ** 6)
+    start, width = draw(st.integers(0, 10 ** 6)), draw(WIDTHS)
+    if rule == "constant":
+        halt = ConstantHalt(draw(steps))
+        budget = draw(steps)
+    elif rule == "linear":
+        halt = LinearHalt(draw(st.integers(0, 5)), draw(steps))
+        # a budget below the intercept settles nothing, and slope 0 all or
+        # nothing; otherwise the window ends just past the last settled
+        # position
+        budget = draw(st.one_of(st.integers(0, halt.intercept),
+                                st.integers(halt.intercept, 2 * 10 ** 6)))
+        if halt.slope and budget >= halt.intercept:
+            last = (budget - halt.intercept) // halt.slope
+            start = max(last + 1 - width + draw(st.integers(0, 3)), 0)
+    else:
+        keys = st.integers(0, 300)
+        halt = TableHalt(draw(st.dictionaries(keys, steps, max_size=8)),
+                         draw(steps))
+        start, budget = draw(keys), draw(steps)
+    return halt, start, start + width, budget
+
+
+@settings(max_examples=300)
+@given(halt_windows())
+def test_settled_matches_reference(case):
+    halt, start, stop, budget = case
+    settled = halt.settled(start, stop, budget)
+    assert type(settled) is bytes
+    assert list(settled) == [int(reference_steps(halt, p) <= budget)
+                             for p in range(start, stop)]
+
+
+@pytest.mark.parametrize("start", [0, 1, 6, 17, 2 ** 20])
+def test_champernowne_wide_window(start):
+    """One window across many numeral lengths joins each length's numerals
+    in turn."""
+    stop = start + 25000
+    assert (list(ChampernowneBits().window(start, stop))
+            == [champernowne_digit(2, p) for p in range(start, stop)])
