@@ -12,6 +12,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cantor import _as_word, value_of_bits
@@ -38,11 +39,37 @@ def champernowne_digit(base: int, index: int) -> int:
         length += 1
 
 
+def _champernowne(base: int, start: int, stop: int) -> Iterator[int]:
+    """Digits start..stop-1 of the concatenation of 0, 1, 2, ... written in
+    `base`, for base >= 2 and start >= 0 (neither checked); none when stop
+    <= start."""
+    # the numerals from `numeral` to base**length - 1 have `length` digits
+    # and fill the digits from `at` on; 0 is the one-digit numeral before 1.
+    # No digit before position `stop` exceeds `stop` (a base above it only
+    # reads one-digit numerals there), so digit ranges are cut at `cap`
+    numeral, length, at, cap = 0, 1, 0, min(base, stop + 1)
+    while start >= (end := at + (base ** length - numeral) * length):
+        numeral, length, at = base ** length, length + 1, end
+    numeral, skip = numeral + (start - at) // length, (start - at) % length
+    digits = [numeral // base ** k % base for k in reversed(range(length))]
+    # after the rest of that numeral, the numerals above it of its length,
+    # in order: for each digit from the last, those that agree with it
+    # before that digit and exceed it there; then each longer length whole
+    above = (product(*zip(digits[:i]), range(digits[i] + 1, cap),
+                     *[range(cap)] * (length - 1 - i))
+             for i in reversed(range(length)))
+    longer = (product(range(1, cap), *[range(cap)] * n) for n in count(length))
+    numerals = chain.from_iterable(chain([[digits[skip:]]], above, longer))
+    return islice(chain.from_iterable(numerals), max(stop - start, 0))
+
+
 def champernowne_bits(base: int, n: int) -> list[int]:
     """First n digits of the concatenation of 0, 1, 2, ... written in `base`."""
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if n < 0:
         raise ValueError("digit count must be >= 0")
-    return [champernowne_digit(base, i) for i in range(n)]
+    return list(_champernowne(base, 0, n))
 
 
 def rational_bits(p: int, q: int, n: int) -> list[int]:
@@ -272,21 +299,7 @@ class ChampernowneBits(BitGenerator):
     bit_at = BitGenerator.bit_at
 
     def window(self, start: int, stop: int) -> bytes:
-        # the numerals from `numeral` to 2**length - 1 have `length` bits and
-        # fill the digits from `at` on; 0 is the one-bit numeral before 1
-        numeral, length, at = 0, 1, 0
-        while start >= (end := at + ((1 << length) - numeral) * length):
-            numeral, length, at = 1 << length, length + 1, end
-        skipped, skip = divmod(start - at, length)
-        numeral, at = numeral + skipped, start - skip
-        # join only the numerals that cover the window, a length at a time
-        parts = []
-        while at < stop:
-            last = min(1 << length, numeral - (at - stop) // length)
-            parts.append("".join([format(k, "b") for k in range(numeral, last)]))
-            numeral, length, at = last, length + 1, at + (last - numeral) * length
-        return "".join(parts)[skip:skip + stop - start].encode().translate(
-            _DIGIT_BYTES)
+        return bytes(_champernowne(2, start, stop))
 
     def exact_value(self) -> None:
         return None

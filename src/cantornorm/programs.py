@@ -201,14 +201,15 @@ class Registry:
         """Program e's values after `budget` steps, one byte per position of
         a range or sequence of positions >= 0: at each, the settled bit once
         the declared halting time is within budget, 0 before that. A range
-        of step 1 is one window, other positions one window each."""
+        of step 1 is one window, other positions one window each; a
+        negative position is refused."""
         entry = self.entry(e)
         if budget < 0:
             raise ValueError("budget must be >= 0")
         if not (isinstance(positions, range) and positions.step == 1):
             return b"".join(self.eval_window(e, budget, range(p, p + 1))
                             for p in positions)
-        start, stop = positions.start, positions.stop
+        start, stop = _check_position(positions.start), positions.stop
         # the bits ANDed with the settled mask, each read as one integer
         bits = int.from_bytes(entry.generator.window(start, stop), "little")
         mask = int.from_bytes(entry.halt.settled(start, stop, budget), "little")
@@ -216,8 +217,7 @@ class Registry:
 
     def eval_bounded(self, e: int, budget: int, position: int) -> int:
         """Program e's value at `position` after `budget` steps."""
-        return self.eval_window(
-            e, budget, range(_check_position(position), position + 1))[0]
+        return self.eval_window(e, budget, range(position, position + 1))[0]
 
     def eval_limit(self, e: int, position: int) -> int:
         """Program e's settled bit at `position`."""

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -368,6 +369,19 @@ class TestChampernowne:
 
     def test_base_validation(self, capsys):
         assert cli.main(["champernowne", "1", "5"]) == 1
+
+    @pytest.mark.parametrize("base", [10 ** 12, 10 ** 100])
+    def test_huge_base_reads_one_digit_numerals(self, base):
+        # in a 500 MB address space, so that a digit range built up to the
+        # base fails fast instead of filling memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (500 * 2 ** 20,) * 2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cantornorm", "champernowne", str(base),
+             "5"], capture_output=True, text=True, preexec_fn=limit,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["digits"] == [0, 1, 2, 3, 4]
 
 
 class TestOracleWiring:

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
-                        RationalBits, TableBits, TableHalt, champernowne_digit)
+                        RationalBits, Registry, TableBits, TableHalt,
+                        champernowne_digit)
 
 from helpers import random_registry, reference_bit, reference_steps
 
@@ -111,13 +112,26 @@ def test_eval_window_matches_reference(seed, budget, positions):
             assert [reg.eval_bounded(e, budget, p) for p in run] == expected
 
 
+THIRD = Registry.assemble([(RationalBits(1, 3), ConstantHalt(0))])
+
+
+def window_at(position):
+    """A sequence of positions, one window each."""
+    return THIRD.eval_window(0, 0, [position])
+
+
+def window_from(position):
+    """One window from `position` to three past it."""
+    return THIRD.eval_window(0, 0, range(position - 1, position + 3))
+
+
 @pytest.mark.parametrize("evaluate", [
     ConstantBits(1).bit_at, PeriodicBits((0, 1)).bit_at,
     TableBits({0: 1}).bit_at, RationalBits(1, 3).bit_at,
     RationalBits(1, 4).bit_at, ChampernowneBits().bit_at,
     OracleBits(Oracle((1,))).bit_at, Oracle((1,)).bit_at,
     ConstantHalt(2).steps_at, LinearHalt(1, 0).steps_at,
-    TableHalt({0: 1}).steps_at,
+    TableHalt({0: 1}).steps_at, window_at, window_from,
 ])
 def test_negative_position_refused(evaluate):
     with pytest.raises(ValueError, match="position must be >= 0"):

@@ -8,10 +8,22 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits, Oracle,
                         champernowne_bits, champernowne_digit,
                         generator_from_config, periodic_bits, rational_bits,
                         value_of_bits)
+from cantornorm.generators import _champernowne
 from helpers import fraction_sum_value, shift_or_numerator
 
 # the binary concatenation 0 1 10 11 100 101 110 111, flattened
 CHAMPERNOWNE_2_18 = [0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
+
+
+def length_starts(base: int) -> list[int]:
+    """The first digit of the numerals of each length L in `base`, up to
+    the first past 10**9: the base numerals 0..base-1 of length 1, then
+    (base - 1) * base**(L-1) numerals of L digits each."""
+    starts, at, length = [0], base, 2
+    while at <= 10 ** 9:
+        starts.append(at)
+        at, length = at + (base - 1) * base ** (length - 1) * length, length + 1
+    return starts + [at]
 
 
 class TestChampernowne:
@@ -33,6 +45,28 @@ class TestChampernowne:
         if n > m:
             n, m = m, n
         assert champernowne_bits(base, m)[:n] == champernowne_bits(base, n)
+
+    @given(base=st.one_of(st.integers(2, 40), st.sampled_from([10 ** 6,
+                                                                 10 ** 100])),
+           n=st.integers(0, 1500))
+    def test_prefix_matches_digit_formula(self, base, n):
+        # a base above n only reads one-digit numerals, from a capped range
+        assert champernowne_bits(base, n) == [champernowne_digit(base, i)
+                                              for i in range(n)]
+
+    @given(data=st.data(), base=st.integers(3, 40), width=st.integers(0, 70))
+    def test_walk_matches_digit_formula(self, data, base, width):
+        """Windows far out and across each change of numeral length: the
+        numerals of length L begin right after the `length_starts(base)`
+        digits that the shorter ones fill."""
+        start = data.draw(st.one_of(
+            st.integers(0, 10 ** 9),
+            st.builds(lambda at, offset: max(at + offset, 0),
+                      st.sampled_from(length_starts(base)),
+                      st.integers(-3, 3))))
+        assert (list(_champernowne(base, start, start + width))
+                == [champernowne_digit(base, i)
+                    for i in range(start, start + width)])
 
 
 class TestRationalBits:
@@ -203,12 +237,13 @@ class TestConfigParsing:
 @pytest.mark.parametrize("call, error", [
     (lambda: champernowne_digit(2, -1), ValueError),
     (lambda: champernowne_bits(2, -1), ValueError),
+    (lambda: champernowne_bits(1, 0), ValueError),
     (lambda: TableBits(((1, 1), (1, 0))), ValueError),
     (lambda: TableBits({-1: 1}), ValueError),
     (lambda: ConstantBits().prefix(-1), ValueError),
     (lambda: generator_from_config({"kind": "constant", "bit": 2}), ConfigError),
     (lambda: generator_from_config({"kind": "table", "bits": []}), ConfigError),
-], ids=["digit_index", "digit_count", "duplicate_position",
+], ids=["digit_index", "digit_count", "digit_base", "duplicate_position",
         "negative_position", "prefix_length", "config_bit", "config_table"])
 def test_invalid_arguments_refused(call, error):
     with pytest.raises(error):
