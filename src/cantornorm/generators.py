@@ -86,12 +86,91 @@ def periodic_bits(pattern: Sequence[int], n: int) -> list[int]:
     return PeriodicBits(pattern).prefix(n)
 
 
+def _config_int(cfg: Mapping, key: str, default: int | None = None) -> int:
+    """An integer config value: JSON booleans, floats and strings are refused
+    rather than coerced."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _config_bit(cfg: Mapping, key: str, default: int | None = None) -> int:
+    value = _config_int(cfg, key, default)
+    if value not in (0, 1):
+        raise ConfigError(f"{key!r} must be 0 or 1, got {value!r}")
+    return value
+
+
+def _config_word(cfg: Mapping, key: str, default: str | None) -> tuple[int, ...]:
+    """A bit word written as a string of 0/1 characters."""
+    text = cfg.get(key, default)
+    if not isinstance(text, str) or set(text) - {"0", "1"}:
+        raise ConfigError(f"{key!r} must be a string of 0/1, got {text!r}")
+    return tuple(int(c) for c in text)
+
+
+def _config_table(cfg: Mapping, key: str, default: Mapping) -> dict[int, int]:
+    """A table whose keys are canonical decimal position strings ("7", never
+    "07" or "+7", so that no two keys name one position) and values integers."""
+    raw = cfg.get(key, default)
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{key!r} must map positions to integers")
+    table = {}
+    for p in raw:
+        if str(int(p)) != p:
+            raise ConfigError(
+                f"{key!r} keys must be canonical decimal positions, got {p!r}")
+        table[int(p)] = _config_int(raw, p)
+    return table
+
+
+# each reader's inverse, from an attribute value to its registry/1 value
+_WRITERS = {_config_int: int, _config_bit: int,
+            _config_word: lambda word: "".join(map(str, word)),
+            _config_table: lambda table: {str(p): v for p, v in table}}
+
+
+def _check_keys(cfg: Mapping, keys: Sequence) -> None:
+    """Refuse the first key of `cfg` that is not among `keys`."""
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r}")
+
+
+def _read_fields(cls, cfg: Mapping, what: str, head: tuple = (), *args):
+    """`cls(*args, ...)`, each field that `cls._fields` declares in order as
+    (key, attribute, reader, default) read from `cfg`, which may hold no keys
+    but those and `head`'s; any error is a ConfigError `bad {what}: ...`."""
+    try:
+        _check_keys(cfg, (*head, *(key for key, *_ in cls._fields)))
+        return cls(*args, *(read(cfg, key, default)
+                            for key, _, read, default in cls._fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from None
+
+
+def _write_fields(obj, head: dict) -> dict:
+    """`head`, then the registry/1 value of each field `obj` declares."""
+    return {**head, **{key: _WRITERS[read](getattr(obj, attr))
+                       for key, attr, read, _ in obj._fields}}
+
+
+def _named(classes: Mapping, name, what: str):
+    """The class `name` picks; any other name, even unhashable, is refused."""
+    if isinstance(name, str) and name in classes:
+        return classes[name]
+    raise ConfigError(f"unknown {what}: {name!r}")
+
+
 @dataclass(frozen=True)
 class Oracle:
     """Infinite bit source: an explicit finite prefix, one default bit beyond."""
 
     prefix: tuple[int, ...] = ()
     default: int = 0
+    _fields = (("prefix", "prefix", _config_word, ""),
+               ("default", "default", _config_bit, 0))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prefix", _as_word(self.prefix))
@@ -139,6 +218,8 @@ class BitGenerator(ABC):
     """A total map from positions to bits."""
 
     kind: str = ""
+    # the registry/1 fields after `kind`, as `_read_fields` reads them
+    _fields: tuple = ()
 
     @abstractmethod
     def window(self, start: int, stop: int) -> bytes:
@@ -167,17 +248,15 @@ class BitGenerator(ABC):
     def ends_in_ones(self) -> bool:
         """True when all but finitely many bits are 1."""
 
-    @abstractmethod
-    def params(self) -> dict: ...
-
     def to_config(self) -> dict:
-        return {"kind": self.kind, **self.params()}
+        return _write_fields(self, {"kind": self.kind})
 
 
 @dataclass(frozen=True)
 class ConstantBits(BitGenerator):
     bit: int = 0
     kind = "constant"
+    _fields = (("bit", "bit", _config_bit, 0),)
     bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
@@ -192,14 +271,12 @@ class ConstantBits(BitGenerator):
     def ends_in_ones(self) -> bool:
         return self.bit == 1
 
-    def params(self) -> dict:
-        return {"bit": self.bit}
-
 
 @dataclass(frozen=True)
 class PeriodicBits(BitGenerator):
     pattern: tuple[int, ...]
     kind = "periodic"
+    _fields = (("pattern", "pattern", _config_word, None),)
     bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
@@ -220,9 +297,6 @@ class PeriodicBits(BitGenerator):
     def ends_in_ones(self) -> bool:
         return all(b == 1 for b in self.pattern)
 
-    def params(self) -> dict:
-        return {"pattern": "".join(str(b) for b in self.pattern)}
-
 
 @dataclass(frozen=True)
 class TableBits(BitGenerator):
@@ -231,6 +305,8 @@ class TableBits(BitGenerator):
     assignments: Mapping[int, int] | tuple[tuple[int, int], ...] = ()
     default: int = 0
     kind = "table"
+    _fields = (("bits", "assignments", _config_table, {}),
+               ("default", "default", _config_bit, 0))
     bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
@@ -250,10 +326,6 @@ class TableBits(BitGenerator):
     def ends_in_ones(self) -> bool:
         return self.default == 1
 
-    def params(self) -> dict:
-        return {"bits": {str(p): b for p, b in self.assignments},
-                "default": self.default}
-
 
 @dataclass(frozen=True)
 class RationalBits(BitGenerator):
@@ -262,6 +334,8 @@ class RationalBits(BitGenerator):
     numerator: int
     denominator: int
     kind = "rational"
+    _fields = (("numerator", "numerator", _config_int, 0),
+               ("denominator", "denominator", _config_int, 1))
     bit_at = BitGenerator.bit_at
 
     def __post_init__(self) -> None:
@@ -287,9 +361,6 @@ class RationalBits(BitGenerator):
     def ends_in_ones(self) -> bool:
         return False
 
-    def params(self) -> dict:
-        return {"numerator": self.numerator, "denominator": self.denominator}
-
 
 @dataclass(frozen=True)
 class ChampernowneBits(BitGenerator):
@@ -306,9 +377,6 @@ class ChampernowneBits(BitGenerator):
 
     def ends_in_ones(self) -> bool:
         return False
-
-    def params(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -331,70 +399,16 @@ class OracleBits(BitGenerator):
     def ends_in_ones(self) -> bool:
         return self.oracle.default == 1
 
-    def params(self) -> dict:
-        return {}
 
-
-def _config_int(cfg: Mapping, key: str, default: int | None = None) -> int:
-    """An integer config value: JSON booleans, floats and strings are refused
-    rather than coerced."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _config_bit(cfg: Mapping, key: str, default: int | None = None) -> int:
-    value = _config_int(cfg, key, default)
-    if value not in (0, 1):
-        raise ConfigError(f"{key!r} must be 0 or 1, got {value!r}")
-    return value
-
-
-def _config_word(cfg: Mapping, key: str,
-                 default: str | None = None) -> tuple[int, ...]:
-    """A bit word written as a string of 0/1 characters."""
-    text = cfg.get(key, default)
-    if not isinstance(text, str) or set(text) - {"0", "1"}:
-        raise ConfigError(f"{key!r} must be a string of 0/1, got {text!r}")
-    return tuple(int(c) for c in text)
-
-
-def _config_table(cfg: Mapping, key: str) -> dict[int, int]:
-    """A table whose keys are canonical decimal position strings ("7", never
-    "07" or "+7", so that no two keys name one position) and values integers."""
-    raw = cfg.get(key, {})
-    if not isinstance(raw, Mapping):
-        raise ConfigError(f"{key!r} must map positions to integers")
-    table = {}
-    for p in raw:
-        if str(int(p)) != p:
-            raise ConfigError(
-                f"{key!r} keys must be canonical decimal positions, got {p!r}")
-        table[int(p)] = _config_int(raw, p)
-    return table
+_KINDS = {cls.kind: cls for cls in (ConstantBits, PeriodicBits, TableBits,
+                                    RationalBits, ChampernowneBits, OracleBits)}
 
 
 def generator_from_config(cfg: Mapping, oracle: Oracle | None = None) -> BitGenerator:
     """Build a generator from one registry-config entry (sans halting rule)."""
     kind = cfg.get("kind")
-    try:
-        if kind == "constant":
-            return ConstantBits(_config_bit(cfg, "bit", 0))
-        if kind == "periodic":
-            return PeriodicBits(_config_word(cfg, "pattern"))
-        if kind == "table":
-            return TableBits(_config_table(cfg, "bits"),
-                             _config_bit(cfg, "default", 0))
-        if kind == "rational":
-            return RationalBits(_config_int(cfg, "numerator", 0),
-                                _config_int(cfg, "denominator", 1))
-        if kind == "champernowne":
-            return ChampernowneBits()
-        if kind == "oracle-bit":
-            if oracle is None:
-                raise ConfigError("oracle-bit program requires an oracle")
-            return OracleBits(oracle)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} program: {exc}") from None
-    raise ConfigError(f"unknown program kind: {kind!r}")
+    cls = _named(_KINDS, kind, "program kind")
+    if cls is OracleBits and oracle is None:
+        raise ConfigError("oracle-bit program requires an oracle")
+    args = (oracle,) if cls is OracleBits else ()
+    return _read_fields(cls, cfg, f"{kind} program", ("kind", "halt"), *args)

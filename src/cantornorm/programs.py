@@ -16,9 +16,10 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
-from .generators import (BitGenerator, Oracle, _check_position, _config_bit,
-                         _config_int, _config_table, _config_word,
-                         _sorted_table, _table_window, generator_from_config)
+from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
+                         _check_position, _config_int, _config_table, _named,
+                         _read_fields, _sorted_table, _table_window,
+                         _write_fields, generator_from_config)
 
 REGISTRY_FORMAT = "registry/1"
 
@@ -46,17 +47,15 @@ class HaltRule(ABC):
     def max_through(self, position: int) -> int:
         """Largest steps_at(p) over p <= position."""
 
-    @abstractmethod
-    def params(self) -> dict: ...
-
     def to_config(self) -> dict:
-        return {"rule": self.rule, **self.params()}
+        return _write_fields(self, {"rule": self.rule})
 
 
 @dataclass(frozen=True)
 class ConstantHalt(HaltRule):
     steps: int = 0
     rule = "constant"
+    _fields = (("steps", "steps", _config_int, 0),)
     max_through = HaltRule.steps_at  # the rule is nondecreasing
 
     def __post_init__(self) -> None:
@@ -69,15 +68,14 @@ class ConstantHalt(HaltRule):
     def settled(self, start: int, stop: int, budget: int) -> bytes:
         return bytes((self.steps <= budget,)) * (stop - start)
 
-    def params(self) -> dict:
-        return {"steps": self.steps}
-
 
 @dataclass(frozen=True)
 class LinearHalt(HaltRule):
     slope: int = 1
     intercept: int = 0
     rule = "linear"
+    _fields = (("slope", "slope", _config_int, 1),
+               ("intercept", "intercept", _config_int, 0))
     max_through = HaltRule.steps_at  # nondecreasing since slope >= 0
 
     def __post_init__(self) -> None:
@@ -94,9 +92,6 @@ class LinearHalt(HaltRule):
                else stop if self.intercept <= budget else start)
         return b"\1" * (min(cut, stop) - start) + b"\0" * (stop - max(cut, start))
 
-    def params(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept}
-
 
 @dataclass(frozen=True)
 class TableHalt(HaltRule):
@@ -105,6 +100,8 @@ class TableHalt(HaltRule):
     entries: Mapping[int, int] | tuple[tuple[int, int], ...] = ()
     default: int = 0
     rule = "table"
+    _fields = (("steps", "entries", _config_table, {}),
+               ("default", "default", _config_int, 0))
 
     def __post_init__(self) -> None:
         norm = _sorted_table(self.entries)
@@ -128,9 +125,8 @@ class TableHalt(HaltRule):
             listed.append(self.default)
         return max(listed)
 
-    def params(self) -> dict:
-        return {"steps": {str(p): s for p, s in self.entries},
-                "default": self.default}
+
+_RULES = {cls.rule: cls for cls in (ConstantHalt, LinearHalt, TableHalt)}
 
 
 def halt_from_config(cfg) -> HaltRule:
@@ -140,18 +136,8 @@ def halt_from_config(cfg) -> HaltRule:
     if not isinstance(cfg, Mapping):
         raise ConfigError("'halt' must be an object")
     rule = cfg.get("rule")
-    try:
-        if rule == "constant":
-            return ConstantHalt(_config_int(cfg, "steps", 0))
-        if rule == "linear":
-            return LinearHalt(_config_int(cfg, "slope", 1),
-                              _config_int(cfg, "intercept", 0))
-        if rule == "table":
-            return TableHalt(_config_table(cfg, "steps"),
-                             _config_int(cfg, "default", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {rule} halting rule: {exc}") from None
-    raise ConfigError(f"unknown halting rule: {rule!r}")
+    return _read_fields(_named(_RULES, rule, "halting rule"), cfg,
+                        f"{rule} halting rule", ("rule",))
 
 
 @dataclass(frozen=True)
@@ -188,6 +174,10 @@ class Registry:
                     raise ConfigError(
                         f"entry {pos}: alias must share its target's generator "
                         f"and halting rule")
+            if (isinstance(entry.generator, OracleBits)
+                    and entry.generator.oracle != self.oracle):
+                raise ConfigError(f"entry {pos}: an oracle-bit program must "
+                                  f"read the registry's oracle")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -268,6 +258,7 @@ class Registry:
         config's own."""
         if not isinstance(cfg, Mapping):
             raise ConfigError("registry config must be a JSON object")
+        _check_keys(cfg, ("format", "oracle", "entries"))
         fmt = cfg.get("format", REGISTRY_FORMAT)
         if fmt != REGISTRY_FORMAT:
             raise ConfigError(f"unsupported registry format: {fmt!r}")
@@ -282,6 +273,7 @@ class Registry:
                 raise ConfigError(f"entry {pos} must be an object")
             try:
                 if "alias_of" in raw:
+                    _check_keys(raw, ("alias_of",))
                     programs.append(_config_int(raw, "alias_of"))
                 else:
                     programs.append((generator_from_config(raw, oracle),
@@ -304,34 +296,28 @@ class Registry:
         return cls.from_config(cfg, oracle=oracle)
 
     def to_config(self) -> dict:
-        entries = []
-        for entry in self.entries:
-            if entry.alias_of is not None:
-                entries.append({"alias_of": entry.alias_of})
-            else:
-                entries.append({**entry.generator.to_config(),
-                                "halt": entry.halt.to_config()})
+        entries = [{"alias_of": entry.alias_of} if entry.alias_of is not None
+                   else {**entry.generator.to_config(),
+                         "halt": entry.halt.to_config()}
+                   for entry in self.entries]
         cfg: dict = {"format": REGISTRY_FORMAT, "entries": entries}
         if self.oracle is not None:
-            cfg["oracle"] = {
-                "prefix": "".join(str(b) for b in self.oracle.prefix),
-                "default": self.oracle.default,
-            }
+            cfg["oracle"] = _write_fields(self.oracle, {})
         return cfg
 
 
 def oracle_from_config(cfg) -> Oracle:
     if not isinstance(cfg, Mapping):
         raise ConfigError("'oracle' must be an object")
-    return Oracle(_config_word(cfg, "prefix", ""),
-                  _config_bit(cfg, "default", 0))
+    return _read_fields(Oracle, cfg, "oracle")
 
 
 def _read_input(p: Path, what: str) -> str:
-    """The text of a `what` input file; a missing, unreadable or non-UTF-8
-    file is a ConfigError."""
-    if not p.is_file():
-        raise ConfigError(f"{what} file not found: {p}")
+    """The text of a `what` input, a regular file or a pipe; any other path,
+    or an unreadable or non-UTF-8 file, is a ConfigError."""
+    if not (p.is_file() or p.is_fifo()):
+        raise ConfigError(f"{what} file {p} is not a regular file or a pipe"
+                          if p.exists() else f"{what} file not found: {p}")
     try:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -720,6 +721,34 @@ class TestStageLimit:
 
 
 class TestInputFiles:
+    def test_registry_from_a_pipe(self, tmp_path):
+        # as `--registry <(cat registry.json)` passes it
+        registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"
+        fifo = tmp_path / "registry.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as pipe:
+                    pipe.write(registry.read_bytes())
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        outputs = {source: tmp_path / f"{source.name}.out"
+                   for source in (fifo, registry)}
+        try:
+            codes = [cli.main(["verify", "--registry", str(source), "--stages",
+                               "2", "--out", str(out)])
+                     for source, out in outputs.items()]
+        finally:
+            # release a writer still waiting for its reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+        assert codes == [0, 0]
+        assert outputs[fifo].read_bytes() == outputs[registry].read_bytes()
+
     def test_deeply_nested_registry(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

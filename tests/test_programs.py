@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
-                        ConstantHalt, LinearHalt, Oracle, PeriodicBits,
-                        ProgramEntry, RationalBits, Registry, TableBits,
-                        TableHalt, halt_from_config, load_oracle_file)
+                        ConstantHalt, LinearHalt, Oracle, OracleBits,
+                        PeriodicBits, ProgramEntry, RationalBits, Registry,
+                        TableBits, TableHalt, halt_from_config,
+                        load_oracle_file)
 
 from helpers import random_generator, random_halt
 
@@ -165,6 +166,15 @@ class TestRegistryValidation:
         with pytest.raises(IndexError):
             Registry().entry(0)
 
+    @pytest.mark.parametrize("oracle", [Oracle((0,)), None],
+                             ids=["other_oracle", "no_oracle"])
+    def test_oracle_bit_must_read_the_registry_oracle(self, oracle):
+        # to_config writes only the registry's oracle, so such an entry
+        # would read back as a different program or not at all
+        program = (OracleBits(Oracle((1, 1, 1), 1)), ConstantHalt(0))
+        with pytest.raises(ConfigError, match="registry's oracle"):
+            Registry.assemble([program], oracle=oracle)
+
 
 class TestConfig:
     CONFIG = {
@@ -266,6 +276,63 @@ def test_from_config_raises_only_config_error(entries, extra):
         pass
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"entries": [{"kind": "constant", "bti": 1, "bt": 0}]}, "bti"),
+    ({"entries": [{"kind": "constant",
+                   "halt": {"rule": "linear", "slop": 5}}]}, "slop"),
+    ({"oracle": {"prefx": "1"}, "entries": []}, "prefx"),
+    ({"entries": [{"kind": "champernowne"},
+                  {"alias_of": 0, "halt": {"rule": "constant", "steps": 3}}]},
+     "halt"),
+    ({"format": "registry/1", "entries": [], "oracel": {"prefix": "1"}},
+     "oracel"),
+], ids=["program", "halt", "oracle", "alias", "top_level"])
+def test_undeclared_keys_refused(cfg, key):
+    # a misspelled key would otherwise load as a different program
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        Registry.from_config(cfg)
+
+
+BITS = st.integers(0, 1)
+STEPS = st.integers(0, 10 ** 6)
+
+
+def tables(values):
+    return st.dictionaries(st.integers(0, 10 ** 6), values, max_size=6)
+
+
+@st.composite
+def registries(draw):
+    """Registries over every kind, rule and alias, oracle-bit entries
+    reading the registry's oracle."""
+    oracle = draw(st.none() | st.builds(
+        Oracle, st.lists(BITS, max_size=40).map(tuple), BITS))
+    generators = [
+        st.builds(ConstantBits, BITS),
+        st.builds(PeriodicBits, st.lists(BITS, min_size=1, max_size=8).map(tuple)),
+        st.builds(TableBits, tables(BITS), BITS),
+        st.integers(1, 2 ** 64).flatmap(lambda q: st.builds(
+            RationalBits, st.integers(0, q - 1), st.just(q))),
+        st.just(ChampernowneBits()),
+    ]
+    if oracle is not None:
+        generators.append(st.just(OracleBits(oracle)))
+    halts = (st.builds(ConstantHalt, STEPS) | st.builds(LinearHalt, STEPS, STEPS)
+             | st.builds(TableHalt, tables(STEPS), STEPS))
+    programs: list = []
+    for i in range(draw(st.integers(0, 6))):
+        if i and draw(st.booleans()):
+            programs.append(draw(st.integers(0, i - 1)))
+        else:
+            programs.append((draw(st.one_of(generators)), draw(halts)))
+    return Registry.assemble(programs, oracle=oracle)
+
+
+@given(registries())
+def test_config_round_trips_through_json(reg):
+    assert Registry.from_config(json.loads(json.dumps(reg.to_config()))) == reg
+
+
 def _oracle_file(tmp_path, text):
     path = tmp_path / "oracle.txt"
     path.write_text(text)
@@ -331,6 +398,11 @@ class TestOracleFile:
         monkeypatch.setattr("pathlib.Path.read_text", deny)
         with pytest.raises(ConfigError, match="cannot read oracle file"):
             load_oracle_file(path)
+
+    @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
+    def test_directory_is_not_reported_missing(self, tmp_path, load):
+        with pytest.raises(ConfigError, match="not a regular file or a pipe"):
+            load(tmp_path)
 
     @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
     def test_non_utf8_input_is_config_error(self, tmp_path, load):
