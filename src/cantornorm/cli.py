@@ -42,9 +42,12 @@ CHAMPERNOWNE_FORMAT = "digit-prefix/1"
 TRACE_VALUE_LIMIT = 10 ** 6
 TRACE_SNAPSHOT_FLOOR = 8
 
-# `_json` chunks joined per write; one each is far slower. A chunk can be a
-# whole table row (~140 bytes for build), so 2**10 keeps a write near 140 KB;
-# multi-megabyte joins each cost a fresh mapping and its page faults.
+# `_json` or `_csv` chunks joined per write; one each is far slower. A chunk
+# is one dict entry, list item, table row or CSV line. The rows of a run and
+# the items of a list of one scalar type are rendered by C-level maps over
+# whole columns, one `%` template or conversion each. A build row is about
+# 140 bytes, so 2**10 keeps a write near 140 KB; multi-megabyte joins each
+# cost a fresh mapping and its page faults.
 JSON_BATCH = 2 ** 10
 
 
@@ -81,9 +84,26 @@ _SCALARS = {str: _quote, int: int.__repr__, float: json.dumps, bool: json.dumps,
             type(None): json.dumps, Fraction: lambda x: f'"{_frac(x)}"'}
 
 
+def _scalar(value) -> str:
+    return _SCALARS[type(value)](value)
+
+
+def _one_type(items) -> type | None:
+    """The type all of `items` share, or None if they have several or none;
+    a range, which holds only ints, is taken without a scan."""
+    if type(items) is range:
+        return int
+    types = set(map(type, items))
+    return types.pop() if len(types) == 1 else None
+
+
 class _Table(NamedTuple):
-    """A JSON list of records sharing `keys`: each row holds one record's
-    scalar values in the order of `keys`; entries past them are left out."""
+    """A JSON list of records sharing `keys`, given as `rows`, a series of
+    runs. A run is a tuple aligned with `keys`, whose entries past them are
+    left out. Each entry is a `_SCALARS` constant that all of the run's
+    records share, or a column: a sequence holding one value per record.
+    A run's records stop at its shortest column; a run with no column (a
+    plain row) is one record."""
 
     keys: Sequence[str]
     rows: Iterable[Sequence]
@@ -91,35 +111,96 @@ class _Table(NamedTuple):
 
 def _json(obj, indent: str = "\n") -> Iterator[str]:
     """Chunks whose concatenation is `json.dumps(obj, indent=2,
-    sort_keys=True, default=_frac)`, one per dict entry, list item or table
-    row, for a str-keyed dict, list, tuple or `_Table` holding these and
-    `_SCALARS` types. (Python's own encoder is pure Python when it indents.)"""
+    sort_keys=True, default=_frac)`, for a str-keyed dict, list, tuple or
+    `_Table` holding these and `_SCALARS` types, a table written as its list
+    of records. (Python's own encoder is pure Python when it indents.)"""
     kind, inner = type(obj), indent + "  "
-    if kind is _Table:  # keys sorted once, then one `%` template per row
+    sep = "," + inner  # starts every entry; the first one's comma is dropped
+    if kind is _Table:  # keys sorted once, then one `%` template per run
         order = sorted(range(len(obj.keys)), key=obj.keys.__getitem__)
-        fields = [f"{inner}  {_quote(obj.keys[i])}: ".replace("%", "%%") + "%s"
-                  for i in order]
-        template = "{" + ",".join(fields) + (inner if fields else "") + "}"
-        parts = (template % tuple([_SCALARS[type(v)](v)
-                                   for v in map(row.__getitem__, order)])
-                 for row in obj.rows)
-    elif kind is dict or kind is list or kind is tuple:
-        entries = (((_quote(k) + ": ", obj[k]) for k in sorted(obj))
-                   if kind is dict else (("", v) for v in obj))
-        parts = (head + _SCALARS[type(v)](v) if type(v) in _SCALARS
-                 else chain((head,), _json(v, inner)) for head, v in entries)
+        heads = [f"{inner}  {_quote(obj.keys[i])}: ".replace("%", "%%")
+                 for i in order]
+        close = (inner if heads else "") + "}"
+        entries = chain.from_iterable(
+            _json_run(sep + "{", heads, map(run.__getitem__, order), close)
+            for run in obj.rows)
+    elif kind is dict:
+        entries = chain.from_iterable(
+            _json_entry(sep + _quote(k) + ": ", obj[k], inner)
+            for k in sorted(obj))
+    elif kind is list or kind is tuple:
+        of = _one_type(obj)
+        entries = (map(sep.__add__, map(_SCALARS[of], obj)) if of in _SCALARS
+                   else chain.from_iterable(_json_entry(sep, v, inner)
+                                            for v in obj))
     else:
         raise TypeError(f"cannot write a {kind.__name__} as a JSON container")
     opening, closing = "{}" if kind is dict else "[]"
-    sep = opening + inner
-    for part in parts:  # a scalar item's text, or a nested value's chunks
-        if type(part) is str:
-            yield sep + part
+    first = next(entries, None)
+    if first is None:
+        return iter((opening + closing,))
+    # a chain, not a generator, so that no Python frame resumes per chunk
+    return chain((opening + first[1:],), entries, (indent + closing,))
+
+
+def _json_entry(head: str, value, indent: str) -> Iterable[str]:
+    """The chunks of one dict entry or list item, the first led by `head`."""
+    if type(value) in _SCALARS:
+        return (head + _scalar(value),)
+    chunks = _json(value, indent)
+    return chain((head + next(chunks),), chunks)
+
+
+def _json_run(opening: str, heads: list[str], values: Iterable,
+              close: str) -> Iterable[str]:
+    """The records of one run whose `values` follow the `%`-escaped `heads`:
+    constants are written into the template once, an int column is
+    formatted by `%d` and any other column is rendered to text first."""
+    cells, columns = [], []
+    for head, value in zip(heads, values):
+        if type(value) in _SCALARS:
+            cells.append(head + _scalar(value).replace("%", "%%"))
+        elif _one_type(value) is int:
+            cells.append(head + "%d")
+            columns.append(value)
         else:
-            yield sep + next(part)
-            yield from part
-        sep = "," + inner
-    yield indent + closing if sep[0] == "," else opening + closing
+            cells.append(head + "%s")
+            columns.append(map(_scalar, value))
+    template = opening + ",".join(cells) + close
+    return (map(template.__mod__, zip(*columns)) if columns
+            else (template % (),))
+
+
+class _Line:
+    """A file for `csv.writer` whose write returns the text it is given, so
+    that `writerow`, which returns what write returns, returns the row's
+    CSV line."""
+    write = str
+
+
+_csv_line = csv.writer(_Line, lineterminator="\n").writerow
+
+
+def _csv(rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV lines of `rows`, runs as in `_Table` that keep every entry,
+    each as `csv.writer(lineterminator="\n")` writes it."""
+    return chain.from_iterable(map(_csv_run, rows))
+
+
+def _csv_run(run: Sequence) -> Iterable[str]:
+    columns = [v for v in run if type(v) not in _SCALARS]
+    if not columns:
+        return (_csv_line(run),)
+    if all(_one_type(c) is int for c in columns):
+        # a cell's CSV text does not depend on its neighbours, except that
+        # csv quotes a line's only field when it is empty: each constant is
+        # rendered beside an empty field, whose ",\n" is cut, and the int
+        # cells keep every line clear of that case
+        cells = ("%d" if type(v) not in _SCALARS
+                 else _csv_line((v, ""))[:-2].replace("%", "%%") for v in run)
+        return map((",".join(cells) + "\n").__mod__, zip(*columns))
+    return map(_csv_line, zip(*(repeat(v) if type(v) in _SCALARS else v
+                                for v in run)))
 
 
 # the exponent of `Fraction`'s decimal grammar, `_` separators included
@@ -154,9 +235,10 @@ def _parse_unit_fraction(text: str) -> Fraction:
 def _emit(args: argparse.Namespace, tag: str, header: list[str],
           rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
     """Write a command's output in the requested format as it renders, to
-    `--out` or stdout: `rows` are the CSV rows under `header`, `fields()`
-    returns the JSON object's fields, whose Fractions render as "p/q". Both
-    draw on the same records; `rows` may be a one-pass iterator.
+    `--out` or stdout: `rows` are the CSV rows under `header`, as runs (see
+    `_Table`), and `fields()` returns the JSON object's fields, whose
+    Fractions render as "p/q". Both draw on the same records; `rows` may be
+    a one-pass iterator.
     """
     # Python caps int->str conversion at 4,300 digits to guard the parsing of
     # untrusted text. Inputs were parsed under that cap before this point;
@@ -166,16 +248,11 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
     sys.set_int_max_str_digits(0)
     try:
         with (open(args.out, "w") if args.out else nullcontext(sys.stdout)) as out:
-            if args.format == "json":
-                chunks = _json({"format": tag, **fields()})
-                for chunk in chunks:
-                    out.write(chunk + "".join(islice(chunks, JSON_BATCH - 1)))
-                out.write("\n")
-            else:
-                out.write(f"# format={tag}\n")
-                writer = csv.writer(out, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+            chunks = (chain(_json({"format": tag, **fields()}), ("\n",))
+                      if args.format == "json" else
+                      chain((f"# format={tag}\n",), _csv(chain((header,), rows))))
+            for chunk in chunks:
+                out.write(chunk + "".join(islice(chunks, JSON_BATCH - 1)))
             out.flush()
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out or 'stdout'}: "
@@ -206,16 +283,18 @@ def cmd_build(args: argparse.Namespace) -> int:
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
     exponents = q.exponents
-    steps = exponents + (None,)  # the last position starts no step
-    # position 0 is in no block; block t holds 3**t .. 3**(t+1) - 1, which
-    # the slices cut at max_position
-    spans = [(None, None, 0, 1)] + [
-        (b.block, b.chosen_bit, 3 ** b.block, 3 ** (b.block + 1))
-        for b in f.blocks]
-    rows = chain.from_iterable(
-        zip(range(lo, hi), f.values[lo:hi], repeat(t), repeat(bit),
-            f.certificates[lo:hi], steps[lo:hi])
-        for t, bit, lo, hi in spans)
+    # position 0 is in no block and block t starts at 3**t: each is one run,
+    # up to the next or to max_position, whose row, with q_exponent None as
+    # it starts no step, is a run of its own
+    labels = [(None, None)] + [(b.block, b.chosen_bit) for b in f.blocks]
+    starts = [0] + [3 ** b.block for b in f.blocks]
+    values, certificates = f.values, f.certificates
+    rows = [(range(lo, hi), values[lo:hi], t, bit, certificates[lo:hi],
+             exponents[lo:hi])
+            for (t, bit), lo, hi in zip(labels, starts,
+                                        starts[1:] + [max_position])]
+    rows.append((max_position, values[max_position], *labels[-1],
+                 certificates[max_position], None))
 
     def fields() -> dict:
         payload = {
@@ -223,8 +302,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             "stage_budget": f.stage_budget,
             "max_position": max_position,
             "positions": _Table(POSITION_KEYS, rows),
-            "q_exponents": list(exponents),
-            "q": list(q.bases),
+            "q_exponents": exponents,
+            "q": q.bases,
         }
         if args.trace is not None:
             payload["trace"] = [
@@ -285,10 +364,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     x, q = _orbit_request(args, args.count)
     digits = cantor_digits(x, q, args.count)
     _emit(args, EXPAND_FORMAT, ["index", "digit", "q"],
-          ((i, a, q.bases[i]) for i, a in enumerate(digits.digits)),
-          lambda: {"x": x, "count": args.count, "q": list(q.bases),
-                   "q_exponents": list(q.exponents),
-                   "digits": list(digits.digits),
+          [(range(args.count), digits.digits, q.bases)],
+          lambda: {"x": x, "count": args.count, "q": q.bases,
+                   "q_exponents": q.exponents, "digits": digits.digits,
                    "value": cantor_value(digits)})
     return 0
 
@@ -298,7 +376,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     points = orbit(x, q, args.count)
     _emit(args, ORBIT_FORMAT, ["index", "point"],
           ((i, _frac(y)) for i, y in enumerate(points)),
-          lambda: {"x": x, "count": args.count, "q": list(q.bases),
+          lambda: {"x": x, "count": args.count, "q": q.bases,
                    "points": points})
     return 0
 
@@ -322,7 +400,7 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
 
     _emit(args, DISCREPANCY_FORMAT,
           ["record", "index", "lo", "hi", "hits", "value"], rows(),
-          lambda: {"x": x, "count": args.count, "q": list(q.bases),
+          lambda: {"x": x, "count": args.count, "q": q.bases,
                    "points": points, "star_discrepancy": star,
                    "star_discrepancy_decimal": float(star),
                    "frequencies": [{"lo": r.lo, "hi": r.hi, "hits": r.hits,
@@ -337,7 +415,8 @@ def cmd_champernowne(args: argparse.Namespace) -> int:
             f"{args.count} digits are more than 3**{STAGE_LIMIT} = "
             f"{3 ** STAGE_LIMIT}")
     digits = champernowne_bits(args.base, args.count)
-    _emit(args, CHAMPERNOWNE_FORMAT, ["index", "digit"], enumerate(digits),
+    _emit(args, CHAMPERNOWNE_FORMAT, ["index", "digit"],
+          [(range(args.count), digits)],
           lambda: {"base": args.base, "count": args.count, "digits": digits})
     return 0
 

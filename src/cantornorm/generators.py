@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, product
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cantor import _as_word, value_of_bits
 from .errors import ConfigError

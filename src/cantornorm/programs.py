@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError
 from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
@@ -255,15 +255,16 @@ class Registry:
     @classmethod
     def from_config(cls, cfg: Mapping, oracle: Oracle | None = None) -> "Registry":
         """Registry from a parsed config object; a passed oracle wins over the
-        config's own."""
+        config's own, which is still read, so that a bad one is refused."""
         if not isinstance(cfg, Mapping):
             raise ConfigError("registry config must be a JSON object")
         _check_keys(cfg, ("format", "oracle", "entries"))
         fmt = cfg.get("format", REGISTRY_FORMAT)
         if fmt != REGISTRY_FORMAT:
             raise ConfigError(f"unsupported registry format: {fmt!r}")
-        if oracle is None and cfg.get("oracle") is not None:
-            oracle = oracle_from_config(cfg["oracle"])
+        if cfg.get("oracle") is not None:
+            own = oracle_from_config(cfg["oracle"])
+            oracle = own if oracle is None else oracle
         raw_entries = cfg.get("entries")
         if not isinstance(raw_entries, list):
             raise ConfigError("registry config needs an 'entries' list")

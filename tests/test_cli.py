@@ -1,5 +1,9 @@
+import contextlib
+import csv
 import dataclasses
 import errno
+import io
+import itertools
 import json
 import os
 import resource
@@ -397,6 +401,17 @@ class TestOracleWiring:
         # oracle bits are 1,1,0,0,...: the scan from 1 keeps the zeros at 2, 3
         assert [row["value"] for row in payload["positions"]][:3] == [0, 2, 3]
 
+    def test_bad_registry_oracle_refused_under_oracle_flag(
+            self, registry_file, tmp_path, capsys):
+        path = registry_file({**ORACLE_REGISTRY,
+                              "oracle": {"prefx": "1", "default": 7}})
+        oracle = tmp_path / "oracle.txt"
+        oracle.write_text("11\ndefault=0\n")
+        assert cli.main(["build", "--registry", path, "--oracle", str(oracle),
+                         "--stages", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad oracle: unknown key 'prefx'\n")
+
     def test_oracle_bit_without_oracle_is_config_error(self, registry_file,
                                                        capsys):
         path = registry_file(ORACLE_REGISTRY)
@@ -615,54 +630,118 @@ class TestOutOfMemory:
         assert "Traceback" not in captured.err
 
 
-# scalars of every type the writer renders, each paired with itself
+# ints past the int->str digit cap
+WIDE_INTS = st.builds(lambda digits, k: k * 10 ** digits,
+                      st.integers(4300, 4400), st.integers(-99, 99))
+# scalars of every type the writer renders
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.fractions(),
     st.text(),  # non-ASCII and control characters included
-    st.builds(lambda digits, k: k * 10 ** digits, st.integers(4300, 4400),
-              st.integers(-99, 99)))  # past the int->str digit cap
+    WIDE_INTS)
+ONE_TYPE = [st.none(), st.booleans(), st.integers(), st.floats(),
+            st.fractions(), st.text(max_size=3)]
+# long lists of one scalar type, bools alone included, and lists mixing ints
+# with bools, whose items must not share one rendering
+LISTS = st.one_of(
+    st.sampled_from(ONE_TYPE).flatmap(lambda items: st.tuples(
+        st.lists(items, min_size=1, max_size=4), st.integers(1, 200)).map(
+            lambda word_times: word_times[0] * word_times[1])),
+    st.lists(st.integers() | st.booleans(), max_size=8))
+# `%` in keys and constants must reach the output as it is
+PERCENT = st.sampled_from(["%", "%s", "%d", "%%", "%(x)s", ","])
+# columns of int and of other values, run to a given length
+COLUMNS = [lambda n: st.just(range(n)),
+           lambda n: st.lists(st.integers() | WIDE_INTS, min_size=n,
+                              max_size=n),
+           lambda n: st.lists(st.integers() | st.booleans(), min_size=n,
+                              max_size=n).map(tuple),
+           lambda n: st.lists(SCALARS, min_size=n, max_size=n)]
 
 
-def _tables(values):
-    """(table, the list of dicts it stands for); rows may run past the keys."""
-    def table(keys, rows):
-        rows = [tuple(row) for row in rows]
-        return cli._Table(keys, rows), [dict(zip(keys, row)) for row in rows]
-    keys = st.one_of(st.text(max_size=3), st.sampled_from(["%", "%s"]))
-    return st.lists(keys, unique=True, max_size=4).flatmap(
-        lambda keys: st.builds(table, st.just(keys), st.lists(st.lists(
-            values, min_size=len(keys), max_size=len(keys) + 1), max_size=4)))
+def expand(run):
+    """The rows a run of constants and columns stands for (see `cli._Table`)."""
+    columns = [v for v in run if type(v) not in cli._SCALARS]
+    if not columns:
+        return [tuple(run)]
+    return list(zip(*(v if type(v) not in cli._SCALARS else itertools.repeat(v)
+                      for v in run)))
 
 
-def _containers(children):
-    """(payload for `cli._json`, the same payload for `json.dumps`)."""
-    def split(pairs):
-        return [a for a, _ in pairs], [b for _, b in pairs]
-    return st.one_of(
-        st.lists(children, max_size=4).map(split),
-        st.lists(children, max_size=4).map(split).map(
-            lambda ab: (tuple(ab[0]), ab[1])),
-        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
-            lambda d: ({k: a for k, (a, _) in d.items()},
-                       {k: b for k, (_, b) in d.items()})),
-        _tables(SCALARS))
+@st.composite
+def run_tables(draw):
+    """(table of runs, the list of dicts it stands for). A run holds a
+    constant of any scalar type or a column per key, and some runs an entry
+    past the keys, which JSON leaves out; a run with no column is one row,
+    and an empty column makes an empty run."""
+    keys = draw(st.lists(st.text(max_size=3) | PERCENT, unique=True,
+                         max_size=4))
+    runs = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        width = len(keys) + draw(st.integers(0, 1))
+        runs.append(tuple(draw(SCALARS | PERCENT | st.sampled_from(COLUMNS)
+                               .flatmap(lambda column: column(n)))
+                          for _ in range(width)))
+    return (cli._Table(keys, runs), [dict(zip(keys, row)) for run in runs
+                                     for row in expand(run[:len(keys)])])
+
+
+@st.composite
+def _containers(draw, children):
+    """(payload for `cli._json`, the same payload for `json.dumps`). Drawn,
+    not mapped: Hypothesis prints a mapped value as the call that made it,
+    which for nested failing examples takes minutes."""
+    kind = draw(st.sampled_from(["list", "tuple", "dict", "table"]))
+    if kind == "table":
+        return draw(run_tables())
+    if kind == "dict":
+        pairs = draw(st.dictionaries(st.text(max_size=4), children,
+                                     max_size=4))
+        return ({k: a for k, (a, _) in pairs.items()},
+                {k: b for k, (_, b) in pairs.items()})
+    pairs = draw(st.lists(children, max_size=4))
+    payload = [a for a, _ in pairs]
+    return (payload if kind == "list" else tuple(payload),
+            [b for _, b in pairs])
+
+
+@contextlib.contextmanager
+def lifted_digit_cap():
+    """Render wide ints in full, as under `_emit`."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_containers(st.recursive(SCALARS.map(lambda v: (v, v)), _containers,
-                                max_leaves=30)))
+@given(_containers(st.recursive(
+    SCALARS.map(lambda v: (v, v)) | LISTS.map(lambda items: (items, items))
+    | LISTS.map(lambda items: (tuple(items), items)),
+    _containers, max_leaves=30)))
 def test_json_writer_matches_json_dumps(pair):
     """`cli._json` writes `json.dumps(indent=2, sort_keys=True)`'s bytes, with
     a table written as its list of dicts, and a wide int in full as under
     `_emit`'s lifted digit cap."""
     obj, plain = pair
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with lifted_digit_cap():
         assert "".join(cli._json(obj)) == json.dumps(
             plain, indent=2, sort_keys=True, default=cli._frac)
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_tables())
+def test_csv_writer_matches_csv_writerows(pair):
+    """`cli._csv` writes the lines `csv.writer` writes for the rows its runs
+    stand for, every entry kept."""
+    runs = pair[0].rows
+    expected = io.StringIO()
+    with lifted_digit_cap():
+        csv.writer(expected, lineterminator="\n").writerows(
+            row for run in runs for row in expand(run))
+        assert "".join(cli._csv(runs)) == expected.getvalue()
 
 
 class TestArgumentBounds:

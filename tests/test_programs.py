@@ -236,6 +236,15 @@ class TestConfig:
         assert reg.eval_limit(4, 0) == 1
         assert reg.oracle == oracle
 
+    @pytest.mark.parametrize("oracle", [None, Oracle((1,), default=1)],
+                             ids=["config_oracle", "passed_oracle"])
+    def test_bad_config_oracle_refused(self, oracle):
+        # a passed oracle wins, but the config's own is still read
+        cfg = {"oracle": {"prefx": "1", "default": 7}, "entries": []}
+        with pytest.raises(ConfigError,
+                           match="^bad oracle: unknown key 'prefx'$"):
+            Registry.from_config(cfg, oracle=oracle)
+
     def test_halt_rule_errors(self):
         with pytest.raises(ConfigError, match="unknown halting rule"):
             halt_from_config({"rule": "quadratic"})
