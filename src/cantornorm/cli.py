@@ -15,13 +15,14 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
-from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
-                           require_stages, _stage_snapshot, verify_bound)
+from .construction import (STAGE_LIMIT, LimitFunction, basic_sequence_from,
+                           limit_function, require_stages, _q_exponents,
+                           _stage_snapshot, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import (dyadic_frequencies, report_from_witnesses,
@@ -84,10 +85,6 @@ _SCALARS = {str: _quote, int: int.__repr__, float: json.dumps, bool: json.dumps,
             type(None): json.dumps, Fraction: lambda x: f'"{_frac(x)}"'}
 
 
-def _scalar(value) -> str:
-    return _SCALARS[type(value)](value)
-
-
 def _one_type(items) -> type | None:
     """The type all of `items` share, or None if they have several or none;
     a range, which holds only ints, is taken without a scan."""
@@ -109,12 +106,14 @@ class _Table(NamedTuple):
     rows: Iterable[Sequence]
 
 
-def _json(obj, indent: str = "\n") -> Iterator[str]:
-    """Chunks whose concatenation is `json.dumps(obj, indent=2,
-    sort_keys=True, default=_frac)`, for a str-keyed dict, list, tuple or
-    `_Table` holding these and `_SCALARS` types, a table written as its list
+def _json(obj, indent: str = "\n", head: str = "") -> Iterator[str]:
+    """Chunks whose concatenation is `head` then `json.dumps(obj, indent=2,
+    sort_keys=True, default=_frac)`, for a `_SCALARS` type or a str-keyed
+    dict, list, tuple or `_Table` holding these, a table written as its list
     of records. (Python's own encoder is pure Python when it indents.)"""
     kind, inner = type(obj), indent + "  "
+    if kind in _SCALARS:
+        return iter((head + _SCALARS[kind](obj),))
     sep = "," + inner  # starts every entry; the first one's comma is dropped
     if kind is _Table:  # keys sorted once, then one `%` template per run
         order = sorted(range(len(obj.keys)), key=obj.keys.__getitem__)
@@ -122,50 +121,42 @@ def _json(obj, indent: str = "\n") -> Iterator[str]:
                  for i in order]
         close = (inner if heads else "") + "}"
         entries = chain.from_iterable(
-            _json_run(sep + "{", heads, map(run.__getitem__, order), close)
+            _run(sep + "{", heads, map(run.__getitem__, order),
+                 lambda v: _SCALARS[type(v)](v), close)
             for run in obj.rows)
     elif kind is dict:
         entries = chain.from_iterable(
-            _json_entry(sep + _quote(k) + ": ", obj[k], inner)
-            for k in sorted(obj))
+            _json(obj[k], inner, sep + _quote(k) + ": ") for k in sorted(obj))
     elif kind is list or kind is tuple:
         of = _one_type(obj)
         entries = (map(sep.__add__, map(_SCALARS[of], obj)) if of in _SCALARS
-                   else chain.from_iterable(_json_entry(sep, v, inner)
-                                            for v in obj))
+                   else chain.from_iterable(_json(v, inner, sep) for v in obj))
     else:
-        raise TypeError(f"cannot write a {kind.__name__} as a JSON container")
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
     opening, closing = "{}" if kind is dict else "[]"
     first = next(entries, None)
     if first is None:
-        return iter((opening + closing,))
+        return iter((head + opening + closing,))
     # a chain, not a generator, so that no Python frame resumes per chunk
-    return chain((opening + first[1:],), entries, (indent + closing,))
+    return chain((head + opening + first[1:],), entries, (indent + closing,))
 
 
-def _json_entry(head: str, value, indent: str) -> Iterable[str]:
-    """The chunks of one dict entry or list item, the first led by `head`."""
-    if type(value) in _SCALARS:
-        return (head + _scalar(value),)
-    chunks = _json(value, indent)
-    return chain((head + next(chunks),), chunks)
-
-
-def _json_run(opening: str, heads: list[str], values: Iterable,
-              close: str) -> Iterable[str]:
-    """The records of one run whose `values` follow the `%`-escaped `heads`:
-    constants are written into the template once, an int column is
-    formatted by `%d` and any other column is rendered to text first."""
+def _run(opening: str, heads: Iterable[str], values: Iterable,
+         text: Callable[[object], str], close: str) -> Iterable[str]:
+    """The rows of one run, each `opening`, then its values after the
+    `%`-escaped `heads`, joined by commas, then `close`, by one `%`
+    template: constants are written into it as `text` renders them, an int
+    column is formatted by `%d` and any other column by `text` first."""
     cells, columns = [], []
     for head, value in zip(heads, values):
         if type(value) in _SCALARS:
-            cells.append(head + _scalar(value).replace("%", "%%"))
+            cells.append(head + text(value).replace("%", "%%"))
         elif _one_type(value) is int:
             cells.append(head + "%d")
             columns.append(value)
         else:
             cells.append(head + "%s")
-            columns.append(map(_scalar, value))
+            columns.append(map(text, value))
     template = opening + ",".join(cells) + close
     return (map(template.__mod__, zip(*columns)) if columns
             else (template % (),))
@@ -183,24 +174,16 @@ _csv_line = csv.writer(_Line, lineterminator="\n").writerow
 
 def _csv(rows: Iterable[Sequence]) -> Iterator[str]:
     """The CSV lines of `rows`, runs as in `_Table` that keep every entry,
-    each as `csv.writer(lineterminator="\n")` writes it."""
-    return chain.from_iterable(map(_csv_run, rows))
-
-
-def _csv_run(run: Sequence) -> Iterable[str]:
-    columns = [v for v in run if type(v) not in _SCALARS]
-    if not columns:
-        return (_csv_line(run),)
-    if all(_one_type(c) is int for c in columns):
-        # a cell's CSV text does not depend on its neighbours, except that
-        # csv quotes a line's only field when it is empty: each constant is
-        # rendered beside an empty field, whose ",\n" is cut, and the int
-        # cells keep every line clear of that case
-        cells = ("%d" if type(v) not in _SCALARS
-                 else _csv_line((v, ""))[:-2].replace("%", "%%") for v in run)
-        return map((",".join(cells) + "\n").__mod__, zip(*columns))
-    return map(_csv_line, zip(*(repeat(v) if type(v) in _SCALARS else v
-                                for v in run)))
+    each as `csv.writer(lineterminator="\n")` writes it. A cell's CSV text
+    does not depend on its neighbours, except that csv quotes a line's only
+    field when it is empty: a run's cells are rendered beside an empty
+    field, whose ",\n" is cut, and a one-field run's alone."""
+    return chain.from_iterable(
+        (_csv_line(run),) if all(type(v) in _SCALARS for v in run) else
+        _run("", [""] * len(run), run,
+             (lambda v: _csv_line((v, ""))[:-2]) if len(run) > 1 else
+             (lambda v: _csv_line((v,))[:-1]), "\n")
+        for run in rows)
 
 
 # the exponent of `Fraction`'s decimal grammar, `_` separators included
@@ -282,7 +265,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 f"snapshot), more than {TRACE_VALUE_LIMIT}")
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
-    exponents = q.exponents
+    exponents = tuple(islice(_q_exponents(f), max_position))
     # position 0 is in no block and block t starts at 3**t: each is one run,
     # up to the next or to max_position, whose row, with q_exponent None as
     # it starts no step, is a run of its own
@@ -349,30 +332,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 3
 
 
-def _orbit_request(args: argparse.Namespace,
-                   steps: int) -> tuple[Fraction, BasicSequence]:
-    """Parse X and build the `steps` bases an expand/orbit/discrepancy
-    request consumes."""
+def _orbit_request(args: argparse.Namespace, steps: int
+                   ) -> tuple[Fraction, LimitFunction, BasicSequence]:
+    """Parse X and build the limit and the `steps` bases an
+    expand/orbit/discrepancy request consumes."""
     registry = _registry(args)
     x = _parse_unit_fraction(args.x)
     require_stages(registry, steps, args.stages)
     f = limit_function(registry, steps)
-    return x, basic_sequence_from(f, steps)
+    return x, f, basic_sequence_from(f, steps)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    x, q = _orbit_request(args, args.count)
+    x, f, q = _orbit_request(args, args.count)
     digits = cantor_digits(x, q, args.count)
     _emit(args, EXPAND_FORMAT, ["index", "digit", "q"],
           [(range(args.count), digits.digits, q.bases)],
           lambda: {"x": x, "count": args.count, "q": q.bases,
-                   "q_exponents": q.exponents, "digits": digits.digits,
-                   "value": cantor_value(digits)})
+                   "q_exponents": tuple(islice(_q_exponents(f), args.count)),
+                   "digits": digits.digits, "value": cantor_value(digits)})
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    x, q = _orbit_request(args, args.count)
+    x, _, q = _orbit_request(args, args.count)
     points = orbit(x, q, args.count)
     _emit(args, ORBIT_FORMAT, ["index", "point"],
           ((i, _frac(y)) for i, y in enumerate(points)),
@@ -383,7 +366,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
     # COUNT counts orbit points, one more than the steps between them
-    x, q = _orbit_request(args, args.count - 1)
+    x, _, q = _orbit_request(args, args.count - 1)
     points = orbit(x, q, args.count - 1)
     star = star_discrepancy(points)
     frequencies = dyadic_frequencies(points, 4)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import sub
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cantor import BasicSequence
 from .errors import ConfigError, ResourceLimitError
@@ -191,6 +191,12 @@ def _stage_snapshot(registry: Registry, limit: LimitFunction,
     return StageFunction(s, values[:limit.settled_through + 1], blocks)
 
 
+def _q_exponents(f: LimitFunction) -> Iterator[int]:
+    """The exponents f(i+1) - f(i) of Q's bases 2**(f(i+1) - f(i)), read
+    lazily for i = 0, 1, ... through f's last settled value."""
+    return map(sub, islice(f.values, 1, None), f.values)
+
+
 def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
     """Bases 2**(f(i+1) - f(i)) for i < n."""
     if n < 0:
@@ -199,8 +205,7 @@ def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
         raise ValueError(
             f"limit values are settled through position {f.settled_through}, "
             f"need {n}")
-    return BasicSequence.from_exponents(
-        tuple(map(sub, islice(f.values, 1, n + 1), f.values)))
+    return BasicSequence.from_exponents(islice(_q_exponents(f), n))
 
 
 @dataclass(frozen=True)

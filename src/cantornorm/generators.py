@@ -319,9 +319,17 @@ class TableBits(BitGenerator):
         return _table_window(self.assignments, self.default, start, stop)
 
     def exact_value(self) -> Fraction:
-        # the bits through the last listed position, then the default
-        n = max((p + 1 for p, _ in self.assignments), default=0)
-        return OracleBits(Oracle(self.prefix(n), self.default)).exact_value()
+        # the n bits through the last listed position, then the default d
+        # forever: with `word` the n-bit numeral whose 1s mark the listed
+        # bits that differ from d, the value is word / 2**n for d = 0 and
+        # (2**n - word) / 2**n for d = 1. The word is packed a byte at a
+        # time, in O(n/8 + entries), not as a shifted n-bit int per entry
+        d, n = self.default, max((p + 1 for p, _ in self.assignments), default=0)
+        flips = bytearray((n + 7) // 8)
+        for p, b in self.assignments:
+            flips[p // 8] |= (b ^ d) << (7 - p % 8)
+        word = int.from_bytes(flips, "big") >> (-n % 8)
+        return Fraction((1 << n) - word if d else word, 1 << n)
 
     def ends_in_ones(self) -> bool:
         return self.default == 1

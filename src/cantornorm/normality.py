@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import sub
 from typing import Sequence
 
 from .cantor import orbit_low_counts
-from .construction import LimitFunction
+from .construction import LimitFunction, _q_exponents
 from .errors import ConfigError
 from .programs import Registry
 
@@ -194,10 +193,8 @@ def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
     orbit_fractions = [None] * len(witnesses)
     if value is not None and not generator.ends_in_ones():
         checkpoints = [w.checkpoint for w in witnesses]
-        # bases 2**(f(k+1) - f(k))
-        exponents = map(sub, islice(f.values, 1, None), f.values)
-        orbit_fractions = [Fraction(low, c) for low, c in zip(
-            orbit_low_counts(value, exponents, checkpoints), checkpoints)]
+        lows = orbit_low_counts(value, _q_exponents(f), checkpoints)
+        orbit_fractions = list(map(Fraction, lows, checkpoints))
     records = tuple(CheckpointRecord(
         w.program_index, w.checkpoint, w.chosen_bit, w.fraction_low,
         abs(w.fraction_low - half), w.passed, orbit_fraction,

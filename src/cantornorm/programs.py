@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,27 +26,33 @@ REGISTRY_FORMAT = "registry/1"
 
 
 class HaltRule(ABC):
-    """Total map position -> number of steps before the value there appears."""
+    """Total map position -> number of steps before the value there appears.
+    A rule defines `steps_at`; the other methods are derived from it."""
 
     rule: str = ""
 
     @abstractmethod
-    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
-        """The halting times at a non-decreasing run of positions >= 0, in
-        one pass; the run is not checked."""
-
     def steps_at(self, position: int) -> int:
-        return next(self.steps_over((_check_position(position),)))
+        """The halting time at `position`; a negative one is refused."""
 
-    @abstractmethod
+    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
+        """The halting times at a run of positions >= 0."""
+        return map(self.steps_at, positions)
+
     def settled(self, start: int, stop: int, budget: int) -> bytes:
         """One byte per position in [start, stop), 1 where the halting time
         is within `budget`, else 0; empty when stop <= start; both must be
-        >= 0, which is not checked."""
+        >= 0. The 1s end where bisection finds the first time past
+        `budget`, after O(log(stop - start)) halting times. This needs a
+        rule nondecreasing in the position: every rule but the table is one,
+        and the table overrides this."""
+        cut = bisect_right(range(start, stop), budget, key=self.steps_at)
+        return b"\1" * cut + b"\0" * (stop - start - cut)
 
-    @abstractmethod
     def max_through(self, position: int) -> int:
-        """Largest steps_at(p) over p <= position."""
+        """Largest steps_at(p) over p <= position, which is steps_at(position)
+        for a nondecreasing rule, as `settled` assumes."""
+        return self.steps_at(position)
 
     def to_config(self) -> dict:
         return _write_fields(self, {"rule": self.rule})
@@ -56,17 +63,14 @@ class ConstantHalt(HaltRule):
     steps: int = 0
     rule = "constant"
     _fields = (("steps", "steps", _config_int, 0),)
-    max_through = HaltRule.steps_at  # the rule is nondecreasing
 
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 
-    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
-        return (self.steps for _ in positions)
-
-    def settled(self, start: int, stop: int, budget: int) -> bytes:
-        return bytes((self.steps <= budget,)) * (stop - start)
+    def steps_at(self, position: int) -> int:
+        _check_position(position)
+        return self.steps
 
 
 @dataclass(frozen=True)
@@ -76,21 +80,13 @@ class LinearHalt(HaltRule):
     rule = "linear"
     _fields = (("slope", "slope", _config_int, 1),
                ("intercept", "intercept", _config_int, 0))
-    max_through = HaltRule.steps_at  # nondecreasing since slope >= 0
 
     def __post_init__(self) -> None:
         if self.slope < 0 or self.intercept < 0:
             raise ValueError("slope and intercept must be >= 0")
 
-    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
-        return (self.slope * p + self.intercept for p in positions)
-
-    def settled(self, start: int, stop: int, budget: int) -> bytes:
-        # settled exactly below `cut`; a budget below the intercept puts it
-        # at or under 0, and slope 0 settles all or nothing
-        cut = ((budget - self.intercept) // self.slope + 1 if self.slope
-               else stop if self.intercept <= budget else start)
-        return b"\1" * (min(cut, stop) - start) + b"\0" * (stop - max(cut, start))
+    def steps_at(self, position: int) -> int:
+        return self.slope * _check_position(position) + self.intercept
 
 
 @dataclass(frozen=True)
@@ -109,21 +105,20 @@ class TableHalt(HaltRule):
             raise ValueError("steps must be >= 0")
         object.__setattr__(self, "entries", norm)
 
-    def steps_over(self, positions: Iterable[int]) -> Iterator[int]:
-        lookup, default = dict(self.entries).get, self.default
-        return (lookup(p, default) for p in positions)
+    def steps_at(self, position: int) -> int:
+        i = bisect_left(self.entries, (_check_position(position),))
+        p, steps = self.entries[i] if i < len(self.entries) else (-1, 0)
+        return steps if p == position else self.default
 
     def settled(self, start: int, stop: int, budget: int) -> bytes:
         return _table_window(self.entries, self.default, start, stop,
                              lambda steps: steps <= budget)
 
     def max_through(self, position: int) -> int:
-        _check_position(position)
-        listed = [s for p, s in self.entries if p <= position]
+        i = bisect_left(self.entries, (_check_position(position) + 1,))
+        listed = [s for _, s in self.entries[:i]]
         # the default applies unless every position <= `position` is listed
-        if len(listed) < position + 1:
-            listed.append(self.default)
-        return max(listed)
+        return max(listed + [self.default] * (i <= position))
 
 
 _RULES = {cls.rule: cls for cls in (ConstantHalt, LinearHalt, TableHalt)}

@@ -8,7 +8,7 @@ import random
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
@@ -255,6 +255,54 @@ def test_settled_matches_reference(case):
     assert type(settled) is bytes
     assert list(settled) == [int(reference_steps(halt, p) <= budget)
                              for p in range(start, stop)]
+
+
+# about the 4 * 3**13 positions that a depth-14 run's last stage scans
+WIDE = 6 * 10 ** 6
+
+
+@pytest.mark.parametrize("halt, start, budget, ones", [
+    (ConstantHalt(7), 0, 7, WIDE),
+    (ConstantHalt(7), 10 ** 6, 6, 0),
+    (LinearHalt(0, 3), 5, 3, WIDE),
+    (LinearHalt(0, 3), 5, 2, 0),
+    (LinearHalt(2, 5), 0, 4, 0),
+    (LinearHalt(1, 0), 0, 3 * 10 ** 6, 3 * 10 ** 6 + 1),
+    (LinearHalt(3, 11), 10 ** 6, 10 ** 7, (10 ** 7 - 11) // 3 + 1 - 10 ** 6),
+    (LinearHalt(1, 0), 10 ** 6, 10 ** 8, WIDE),
+])
+def test_settled_wide_window_matches_closed_form(halt, start, budget, ones):
+    """A nondecreasing rule's mask over a depth-14 scan window is `ones`
+    1s, the positions p >= start with steps_at(p) <= budget, then 0s."""
+    assert (halt.settled(start, start + WIDE, budget)
+            == b"\1" * ones + b"\0" * (WIDE - ones))
+
+
+@st.composite
+def halts_through(draw):
+    """A halting rule and a position, tables listed at, below and above it."""
+    position = draw(st.integers(0, 300))
+    steps = st.integers(0, 10 ** 6)
+    rule = draw(st.sampled_from(["constant", "linear", "table"]))
+    if rule == "constant":
+        halt = ConstantHalt(draw(steps))
+    elif rule == "linear":
+        halt = LinearHalt(draw(st.integers(0, 5)), draw(steps))
+    else:
+        keys = st.integers(0, 2 * position + 1)
+        halt = TableHalt(draw(st.dictionaries(keys, steps, max_size=8)),
+                         draw(steps))
+    return halt, position
+
+
+@given(halts_through())
+@example((TableHalt({0: 4, 1: 2}, 9), 1))  # every position listed
+@example((TableHalt({0: 4, 1: 2}, 9), 2))
+@example((TableHalt({5: 12}, 3), 4))  # listed only past the position
+def test_max_through_matches_reference(case):
+    halt, position = case
+    assert halt.max_through(position) == max(
+        reference_steps(halt, p) for p in range(position + 1))
 
 
 @pytest.mark.parametrize("start", [0, 1, 6, 17, 2 ** 20])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,24 @@ class TestWordValues:
     def test_table_matches_fraction_sum(self, table, default):
         assert (TableBits(table, default).exact_value()
                 == fraction_sum_value(table.items(), default))
+
+    @pytest.mark.parametrize("default", [0, 1])
+    def test_table_with_a_far_bit_in_bounded_memory(self, default):
+        """A table's value comes from its listed bits, not from a sequence
+        of every bit through the last one: at 10**7 that took 184 MB."""
+        far, flip = 10 ** 8, 1 - default
+        tracemalloc.start()
+        try:
+            value = TableBits({5: flip, far: flip}, default).exact_value()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # far + 1 bits of the default, bits 5 and `far` flipped; the
+        # numerator is odd, so the fraction is already reduced
+        assert value.denominator == 1 << (far + 1)
+        assert value.numerator == ((default << (far + 1))
+                                   + (flip - default) * ((1 << (far - 5)) + 1))
+        assert peak < 100 * 2 ** 20
 
     @given(prefix=st.lists(st.integers(0, 1), max_size=3000),
            default=st.integers(0, 1))
