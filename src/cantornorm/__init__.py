@@ -9,8 +9,8 @@ uniformly mod 1 under those bases. General Cantor-series expansion, mod-1
 orbit, and discrepancy tooling come along for the ride.
 """
 
-from .cantor import (BasicSequence, CantorDigits, DyadicValue, cantor_digits,
-                     cantor_value, orbit, shift, value_of_bits)
+from .cantor import (BasicSequence, CantorDigits, DyadicValue, Ints,
+                     cantor_digits, cantor_value, orbit, shift, value_of_bits)
 from .construction import (BlockChoice, BoundCheck, BoundReport, LimitFunction,
                            StageFunction, basic_sequence_from, block_of,
                            build_stage_function, limit_function, stage_trace,
@@ -33,9 +33,9 @@ __all__ = [
     "BasicSequence", "BitGenerator", "BlockChoice", "BoundCheck", "BoundReport",
     "CantorDigits", "ChampernowneBits", "CheckpointRecord", "ConfigError",
     "ConstantBits", "ConstantHalt", "DyadicValue", "FrequencyReport",
-    "HaltRule", "LimitFunction", "LinearHalt", "NonNormalityReport", "Oracle",
-    "OracleBits", "PeriodicBits", "ProgramEntry", "RationalBits", "Registry",
-    "ResourceLimitError", "StageFunction", "TableBits",
+    "HaltRule", "Ints", "LimitFunction", "LinearHalt", "NonNormalityReport",
+    "Oracle", "OracleBits", "PeriodicBits", "ProgramEntry", "RationalBits",
+    "Registry", "ResourceLimitError", "StageFunction", "TableBits",
     "TableHalt", "WitnessReport", "basic_sequence_from", "block_of",
     "build_stage_function", "cantor_digits", "cantor_value",
     "champernowne_bits", "champernowne_digit", "generator_from_config",

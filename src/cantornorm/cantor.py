@@ -8,6 +8,8 @@ steps; floats are left to presentation layers.
 
 from __future__ import annotations
 
+from array import array
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -55,14 +57,68 @@ def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:
     return word[n:]
 
 
+class Ints(abc.Sequence):
+    """A read-only sequence of ints held as 64-bit C integers: the items of
+    `data`, an `array('q')` or a memoryview of one, or with `powers` set the
+    ints 2**s for each item s of `data`. It equals a tuple or an `Ints` with
+    the same items, either way round and inside tuples, and hashes as that
+    tuple; a slice is a view into the same memory, and `+` gives a tuple."""
+
+    __slots__ = ("data", "powers")
+
+    def __init__(self, data, powers: bool = False) -> None:
+        self.data = memoryview(data).toreadonly()
+        self.powers = powers
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, index):
+        item = self.data[index]
+        if type(index) is slice:
+            return Ints(item, self.powers)
+        return 1 << item if self.powers else item
+
+    def __iter__(self) -> Iterator[int]:
+        if self.powers:
+            return map((1).__lshift__, self.data)
+        return iter(self.data)
+
+    def __eq__(self, other):
+        if type(other) is Ints and other.powers == self.powers:
+            return self.data == other.data
+        if isinstance(other, (tuple, Ints)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, Ints)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class BasicSequence:
-    """Bases q_0, q_1, ... of a Cantor series, each q_n >= 2."""
+    """Bases q_0, q_1, ... of a Cantor series, each q_n >= 2. Power-of-two
+    bases made by `from_exponents` are held as their exponents s_n >= 1, in
+    an `Ints` whose items are raised to q_n = 2**s_n on read."""
 
-    bases: tuple[int, ...]
+    bases: Sequence[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
+        bases = self.bases
+        if type(bases) is Ints and bases.powers:
+            low = min(bases.data, default=1)
+            if low < 1:
+                raise ValueError(f"every exponent must be >= 1, got {low}")
+            return
+        object.__setattr__(self, "bases", tuple(bases))
         for q in self.bases:
             if q < 2:
                 raise ValueError(f"every base must be >= 2, got {q}")
@@ -70,22 +126,20 @@ class BasicSequence:
     @classmethod
     def from_exponents(cls, exponents: Sequence[int]) -> "BasicSequence":
         """Power-of-two bases q_n = 2**s_n from exponents s_n >= 1."""
-        exps = tuple(exponents)
-        for s in exps:
-            if s < 1:
-                raise ValueError(f"every exponent must be >= 1, got {s}")
-        return cls(tuple(2 ** s for s in exps))
+        plain = type(exponents) is Ints and not exponents.powers
+        return cls(Ints(exponents.data if plain else array("q", exponents),
+                        powers=True))
 
     @property
-    def exponents(self) -> tuple[int, ...]:
+    def exponents(self) -> Sequence[int]:
         """Exponents s_n with q_n = 2**s_n; defined only for power-of-two bases."""
-        out = []
-        for q in self.bases:
-            s = q.bit_length() - 1
-            if 2 ** s != q:
+        bases = self.bases
+        if type(bases) is Ints:
+            return Ints(bases.data)
+        for q in bases:
+            if q & (q - 1):
                 raise ValueError(f"base {q} is not a power of 2")
-            out.append(s)
-        return tuple(out)
+        return tuple(q.bit_length() - 1 for q in bases)
 
     def __len__(self) -> int:
         return len(self.bases)

@@ -19,10 +19,9 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cantor import BasicSequence, cantor_digits, cantor_value, orbit
-from .construction import (STAGE_LIMIT, LimitFunction, basic_sequence_from,
-                           limit_function, require_stages, _q_exponents,
-                           _stage_snapshot, verify_bound)
+from .cantor import BasicSequence, Ints, cantor_digits, cantor_value, orbit
+from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
+                           require_stages, _stage_snapshot, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import (dyadic_frequencies, report_from_witnesses,
@@ -44,12 +43,19 @@ TRACE_VALUE_LIMIT = 10 ** 6
 TRACE_SNAPSHOT_FLOOR = 8
 
 # `_json` or `_csv` chunks joined per write; one each is far slower. A chunk
-# is one dict entry, list item, table row or CSV line. The rows of a run and
-# the items of a list of one scalar type are rendered by C-level maps over
-# whole columns, one `%` template or conversion each. A build row is about
-# 140 bytes, so 2**10 keeps a write near 140 KB; multi-megabyte joins each
+# is one dict entry, or RUN_BATCH items of a list of scalars or rows of a
+# table or CSV run (the last ones of each one to a chunk). The rows of a run
+# and the items of a list of one scalar type are rendered by C-level maps
+# over whole columns: one `%` template per run, one text per distinct int,
+# or one conversion per item of another type. A build row is about 140
+# bytes, so 2**7 chunks keep a write near 290 KB; multi-megabyte joins each
 # cost a fresh mapping and its page faults.
-JSON_BATCH = 2 ** 10
+JSON_BATCH = 2 ** 7
+
+# Rows of a run formatted by one `%` call of its template repeated, and
+# list items per chunk: for a short row the call, not the text it writes,
+# is most of the cost.
+RUN_BATCH = 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,8 +93,8 @@ _SCALARS = {str: _quote, int: int.__repr__, float: json.dumps, bool: json.dumps,
 
 def _one_type(items) -> type | None:
     """The type all of `items` share, or None if they have several or none;
-    a range, which holds only ints, is taken without a scan."""
-    if type(items) is range:
+    a range or an `Ints`, which hold only ints, is taken without a scan."""
+    if type(items) is range or type(items) is Ints:
         return int
     types = set(map(type, items))
     return types.pop() if len(types) == 1 else None
@@ -127,10 +133,12 @@ def _json(obj, indent: str = "\n", head: str = "") -> Iterator[str]:
     elif kind is dict:
         entries = chain.from_iterable(
             _json(obj[k], inner, sep + _quote(k) + ": ") for k in sorted(obj))
-    elif kind is list or kind is tuple:
+    elif kind is list or kind is tuple or kind is Ints:
         of = _one_type(obj)
-        entries = (map(sep.__add__, map(_SCALARS[of], obj)) if of in _SCALARS
-                   else chain.from_iterable(_json(v, inner, sep) for v in obj))
+        entries = (_batched(_int_items(obj, sep), len(obj)) if of is int else
+                   _batched(map(sep.__add__, map(_SCALARS[of], obj)), len(obj))
+                   if of in _SCALARS else
+                   chain.from_iterable(_json(v, inner, sep) for v in obj))
     else:
         raise TypeError(f"cannot write a {kind.__name__} as JSON")
     opening, closing = "{}" if kind is dict else "[]"
@@ -141,25 +149,54 @@ def _json(obj, indent: str = "\n", head: str = "") -> Iterator[str]:
     return chain((head + opening + first[1:],), entries, (indent + closing,))
 
 
+def _batched(texts: Iterator[str], count: int) -> Iterator[str]:
+    """The `count` strings of `texts` joined RUN_BATCH to a chunk, the last
+    ones one to a chunk."""
+    head = islice(texts, count - count % RUN_BATCH)
+    return chain(map("".join, zip(*[head] * RUN_BATCH)), texts)
+
+
+def _int_items(items: Sequence[int], sep: str) -> Iterator[str]:
+    """`sep` and the text of each int of `items`, made once per distinct
+    value; for the bases of an `Ints` of powers, once per distinct exponent,
+    so that no base is built per item."""
+    keys = items.data if type(items) is Ints else items
+    distinct = dict.fromkeys(keys)
+    numbers = (map((1).__lshift__, distinct)
+               if type(items) is Ints and items.powers else distinct)
+    texts = dict(zip(distinct, map(sep.__add__, map(int.__repr__, numbers))))
+    return map(texts.__getitem__, keys)
+
+
 def _run(opening: str, heads: Iterable[str], values: Iterable,
          text: Callable[[object], str], close: str) -> Iterable[str]:
     """The rows of one run, each `opening`, then its values after the
     `%`-escaped `heads`, joined by commas, then `close`, by one `%`
     template: constants are written into it as `text` renders them, an int
-    column is formatted by `%d` and any other column by `text` first."""
-    cells, columns = [], []
+    column is formatted by `%d` and any other column by `text` first. Rows
+    come RUN_BATCH to a chunk, formatted by the template repeated, and the
+    last rows of the run one to a chunk."""
+    cells, columns, sized = [], [], []
     for head, value in zip(heads, values):
         if type(value) in _SCALARS:
             cells.append(head + text(value).replace("%", "%%"))
-        elif _one_type(value) is int:
+            continue
+        sized.append(value)
+        if _one_type(value) is int:
             cells.append(head + "%d")
             columns.append(value)
         else:
             cells.append(head + "%s")
             columns.append(map(text, value))
     template = opening + ",".join(cells) + close
-    return (map(template.__mod__, zip(*columns)) if columns
-            else (template % (),))
+    if not columns:
+        return (template % (),)
+    flat = chain.from_iterable(zip(*columns))
+    width, count = len(columns), min(map(len, sized))
+    batched = islice(flat, (count - count % RUN_BATCH) * width)
+    return chain(map((template * RUN_BATCH).__mod__,
+                     zip(*[batched] * (RUN_BATCH * width))),
+                 map(template.__mod__, zip(*[flat] * width)))
 
 
 class _Line:
@@ -234,8 +271,8 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
             chunks = (chain(_json({"format": tag, **fields()}), ("\n",))
                       if args.format == "json" else
                       chain((f"# format={tag}\n",), _csv(chain((header,), rows))))
-            for chunk in chunks:
-                out.write(chunk + "".join(islice(chunks, JSON_BATCH - 1)))
+            while batch := "".join(islice(chunks, JSON_BATCH)):
+                out.write(batch)
             out.flush()
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out or 'stdout'}: "
@@ -265,19 +302,19 @@ def cmd_build(args: argparse.Namespace) -> int:
                 f"snapshot), more than {TRACE_VALUE_LIMIT}")
     f = limit_function(registry, max_position)
     q = basic_sequence_from(f, max_position)
-    exponents = tuple(islice(_q_exponents(f), max_position))
+    exponents = q.exponents
     # position 0 is in no block and block t starts at 3**t: each is one run,
     # up to the next or to max_position, whose row, with q_exponent None as
-    # it starts no step, is a run of its own
-    labels = [(None, None)] + [(b.block, b.chosen_bit) for b in f.blocks]
+    # it starts no step, is a run of its own; a run's block, bit and
+    # certificate are constants
+    labels = [(None, None, 0)] + [(b.block, b.chosen_bit, c) for b, c in
+                                  zip(f.blocks, f.block_certificates)]
     starts = [0] + [3 ** b.block for b in f.blocks]
-    values, certificates = f.values, f.certificates
-    rows = [(range(lo, hi), values[lo:hi], t, bit, certificates[lo:hi],
-             exponents[lo:hi])
-            for (t, bit), lo, hi in zip(labels, starts,
-                                        starts[1:] + [max_position])]
-    rows.append((max_position, values[max_position], *labels[-1],
-                 certificates[max_position], None))
+    values = f.values
+    rows = [(range(lo, hi), values[lo:hi], *label, exponents[lo:hi])
+            for label, lo, hi in zip(labels, starts,
+                                     starts[1:] + [max_position])]
+    rows.append((max_position, values[max_position], *labels[-1], None))
 
     def fields() -> dict:
         payload = {
@@ -290,7 +327,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         }
         if args.trace is not None:
             payload["trace"] = [
-                {"stage": s, "values": list(_stage_snapshot(registry, f, s).values)}
+                {"stage": s, "values": _stage_snapshot(registry, f, s).values}
                 for s in range(1, args.trace + 1)]
         return payload
 
@@ -333,29 +370,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _orbit_request(args: argparse.Namespace, steps: int
-                   ) -> tuple[Fraction, LimitFunction, BasicSequence]:
-    """Parse X and build the limit and the `steps` bases an
-    expand/orbit/discrepancy request consumes."""
+                   ) -> tuple[Fraction, BasicSequence]:
+    """Parse X and build the `steps` bases an expand/orbit/discrepancy
+    request consumes."""
     registry = _registry(args)
     x = _parse_unit_fraction(args.x)
     require_stages(registry, steps, args.stages)
-    f = limit_function(registry, steps)
-    return x, f, basic_sequence_from(f, steps)
+    return x, basic_sequence_from(limit_function(registry, steps), steps)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    x, f, q = _orbit_request(args, args.count)
+    x, q = _orbit_request(args, args.count)
     digits = cantor_digits(x, q, args.count)
     _emit(args, EXPAND_FORMAT, ["index", "digit", "q"],
           [(range(args.count), digits.digits, q.bases)],
           lambda: {"x": x, "count": args.count, "q": q.bases,
-                   "q_exponents": tuple(islice(_q_exponents(f), args.count)),
+                   "q_exponents": q.exponents,
                    "digits": digits.digits, "value": cantor_value(digits)})
     return 0
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    x, _, q = _orbit_request(args, args.count)
+    x, q = _orbit_request(args, args.count)
     points = orbit(x, q, args.count)
     _emit(args, ORBIT_FORMAT, ["index", "point"],
           ((i, _frac(y)) for i, y in enumerate(points)),
@@ -366,7 +402,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def cmd_discrepancy(args: argparse.Namespace) -> int:
     # COUNT counts orbit points, one more than the steps between them
-    x, _, q = _orbit_request(args, args.count - 1)
+    x, q = _orbit_request(args, args.count - 1)
     points = orbit(x, q, args.count - 1)
     star = star_discrepancy(points)
     frequencies = dyadic_frequencies(points, 4)

@@ -18,23 +18,26 @@ position gets a certificate budget beyond which its value never changes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
+from functools import cached_property
+from itertools import chain, compress, islice, repeat
 from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
-from .cantor import BasicSequence
+from .cantor import BasicSequence, Ints
 from .errors import ConfigError, ResourceLimitError
 from .programs import Registry
 
 
 @dataclass(frozen=True)
 class BlockChoice:
-    """Outcome of one stage: the bit kept and the positions appended."""
+    """Outcome of one stage: the bit kept and the positions appended, a view
+    into the run's values."""
 
     block: int
     chosen_bit: int
-    positions: tuple[int, ...]
+    positions: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -43,19 +46,34 @@ class StageFunction:
     window `stage_trace` restricts them to."""
 
     stage: int
-    values: tuple[int, ...]
+    values: Sequence[int]
     blocks: tuple[BlockChoice, ...]
 
 
 @dataclass(frozen=True)
 class LimitFunction:
-    """Settled values on [0, settled_through] with per-position certificates."""
+    """Settled values on [0, settled_through], with one certificate per
+    block: the stage from which the block's values never change."""
 
-    values: tuple[int, ...]
+    values: Sequence[int]
     settled_through: int
-    certificates: tuple[int, ...]
+    block_certificates: tuple[int, ...]
     blocks: tuple[BlockChoice, ...]
     stage_budget: int
+
+    @cached_property
+    def certificates(self) -> Ints:
+        """Each position's certificate, its block's (0 at position 0)."""
+        end = self.settled_through + 1
+        return Ints(array("q", chain((0,), *(
+            repeat(c, min(3 ** (t + 1), end) - 3 ** t)
+            for t, c in enumerate(self.block_certificates)))))
+
+    @cached_property
+    def q_exponents(self) -> Ints:
+        """The exponents f(i+1) - f(i) of Q's bases 2**(f(i+1) - f(i)) for
+        i = 0, 1, ... through f's last settled value, computed once."""
+        return Ints(array("q", map(sub, self.values[1:], self.values)))
 
 
 def block_of(position: int) -> int | None:
@@ -117,9 +135,9 @@ def require_stages(registry: Registry, position: int,
 
 
 def _run_stages(registry: Registry, stages: int,
-                budget: int) -> tuple[tuple[int, ...], tuple[BlockChoice, ...]]:
-    values = [0]
-    blocks: list[BlockChoice] = []
+                budget: int) -> tuple[Ints, tuple[BlockChoice, ...]]:
+    values = array("q", [0])
+    chosen_bits = []
     for t in range(stages):
         cut = values[-1]
         quota = 2 * 3 ** t
@@ -128,10 +146,13 @@ def _run_stages(registry: Registry, stages: int,
         chosen_bit = 0 if bits.count(0) >= quota else 1
         if chosen_bit == 0:  # flip the bytes, so that 1 marks the kept
             bits = bits.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-        chosen = tuple(islice(compress(window, bits), quota))
-        values.extend(chosen)
-        blocks.append(BlockChoice(t, chosen_bit, chosen))
-    return tuple(values), tuple(blocks)
+        values.extend(islice(compress(window, bits), quota))
+        chosen_bits.append(chosen_bit)
+    # stage t appended positions [3**t, 3**(t+1)); views are taken only now,
+    # since an array with a view on it cannot grow
+    values = Ints(values)
+    return values, tuple(BlockChoice(t, bit, values[3 ** t:3 ** (t + 1)])
+                         for t, bit in enumerate(chosen_bits))
 
 
 def build_stage_function(registry: Registry, stage: int) -> StageFunction:
@@ -155,15 +176,12 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
                   for e in range(t + 1)) for t in range(stages)]
     stage_budget = max([stages, *needed])
     values, blocks = _run_stages(registry, stages, stage_budget + 1)
-
-    certificates = [0]
-    for t, settle in enumerate(needed):
-        # the run at stage s uses budget s+1, so s >= settle-1 settles block
-        # t; s >= t+1 puts it in the domain
-        width = min(3 ** (t + 1), max_position + 1) - 3 ** t
-        certificates.extend([max(t + 1, settle - 1)] * width)
+    # the run at stage s uses budget s+1, so s >= settle-1 settles block t;
+    # s >= t+1 puts it in the domain
+    certificates = tuple(max(t + 1, settle - 1)
+                         for t, settle in enumerate(needed))
     return LimitFunction(values[:max_position + 1], max_position,
-                         tuple(certificates), blocks, stage_budget)
+                         certificates, blocks, stage_budget)
 
 
 def stage_trace(registry: Registry, max_position: int,
@@ -191,12 +209,6 @@ def _stage_snapshot(registry: Registry, limit: LimitFunction,
     return StageFunction(s, values[:limit.settled_through + 1], blocks)
 
 
-def _q_exponents(f: LimitFunction) -> Iterator[int]:
-    """The exponents f(i+1) - f(i) of Q's bases 2**(f(i+1) - f(i)), read
-    lazily for i = 0, 1, ... through f's last settled value."""
-    return map(sub, islice(f.values, 1, None), f.values)
-
-
 def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
     """Bases 2**(f(i+1) - f(i)) for i < n."""
     if n < 0:
@@ -205,7 +217,7 @@ def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
         raise ValueError(
             f"limit values are settled through position {f.settled_through}, "
             f"need {n}")
-    return BasicSequence.from_exponents(islice(_q_exponents(f), n))
+    return BasicSequence.from_exponents(f.q_exponents[:n])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from itertools import islice
 from typing import Sequence
 
 from .cantor import orbit_low_counts
-from .construction import LimitFunction, _q_exponents
+from .construction import LimitFunction
 from .errors import ConfigError
 from .programs import Registry
 
@@ -193,7 +193,7 @@ def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
     orbit_fractions = [None] * len(witnesses)
     if value is not None and not generator.ends_in_ones():
         checkpoints = [w.checkpoint for w in witnesses]
-        lows = orbit_low_counts(value, _q_exponents(f), checkpoints)
+        lows = orbit_low_counts(value, f.q_exponents, checkpoints)
         orbit_fractions = list(map(Fraction, lows, checkpoints))
     records = tuple(CheckpointRecord(
         w.program_index, w.checkpoint, w.chosen_bit, w.fraction_low,
