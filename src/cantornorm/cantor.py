@@ -10,10 +10,76 @@ from __future__ import annotations
 
 from array import array
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
+
+
+class Record:
+    """Base of the package's frozen value types, behaving as
+    `@dataclass(frozen=True)` would, without the code that the decorator
+    generates and compiles per class on every start of the program.
+
+    A subclass's fields, its `__match_args__`, are its annotated names in
+    order, after those of a record it extends, and a class attribute of a
+    field's name is its default. Records init (then call `__post_init__`),
+    compare, hash and print as that dataclass would, refuse assignment and
+    deletion with `FrozenInstanceError`, and pickle; `dataclasses.fields`
+    and `asdict` do not apply to them, `_asdict` gives their fields by
+    name."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(dict.fromkeys(
+            (*cls.__match_args__, *cls.__dict__.get("__annotations__", ()))))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields, state = type(self), self.__match_args__, self.__dict__
+        given = len(args)
+        if given > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} "
+                            f"positional arguments but {given} were given")
+        state.update(zip(fields, args))
+        for field in fields[given:]:
+            state[field] = kwargs.pop(field, getattr(cls, field, MISSING))
+            if state[field] is MISSING:
+                raise TypeError(f"{cls.__qualname__}() missing argument "
+                                f"{field!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or "
+                            f"repeated keyword argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {name: self.__dict__[name] for name in self.__match_args__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a record equals itself, as a tuple of its fields does
+        return other is self or self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
@@ -24,8 +90,7 @@ def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
     return word
 
 
-@dataclass(frozen=True)
-class DyadicValue:
+class DyadicValue(Record):
     """Exact value numerator / 2**exponent, kept unreduced so the length of
     the originating word stays visible."""
 
@@ -155,8 +220,7 @@ def _as_bases(q) -> BasicSequence:
     return q if isinstance(q, BasicSequence) else BasicSequence(tuple(q))
 
 
-@dataclass(frozen=True)
-class CantorDigits:
+class CantorDigits(Record):
     """Digits a_n of a Cantor series, each with 0 <= a_n < q_n."""
 
     digits: tuple[int, ...]

@@ -13,19 +13,22 @@ import json
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cantor import BasicSequence, Ints, cantor_digits, cantor_value, orbit
+# `orbit` and `star_discrepancy` are bound here for callers of this module;
+# the commands take the orbit's residues from `_greedy` instead
+from .cantor import (BasicSequence, Ints, _greedy, cantor_digits, cantor_value,
+                     orbit)
 from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
                            require_stages, _stage_snapshot, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
-from .normality import (dyadic_frequencies, report_from_witnesses,
-                        star_discrepancy, witness_check)
+from .normality import (_dyadic_frequencies, _star_discrepancy,
+                        report_from_witnesses, star_discrepancy, witness_check)
 from .programs import Registry
 
 BUILD_FORMAT = "f-table/1"
@@ -360,11 +363,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
            "orbit_agrees"],
           rows,
           lambda: {"stages": args.stages, "all_passed": all_passed,
-                   "witnesses": [asdict(w) for w in witnesses],
+                   "witnesses": [w._asdict() for w in witnesses],
                    "non_normality": [
                        {"source_index": r.source_index,
                         "non_normal": r.non_normal,
-                        "checkpoints": [asdict(c) for c in r.records]}
+                        "checkpoints": [c._asdict() for c in r.records]}
                        for r in sources]})
     return 0 if all_passed else 3
 
@@ -390,11 +393,23 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+def _orbit_points(x: Fraction, q: BasicSequence,
+                  steps: int) -> tuple[int, list[int], list[str]]:
+    """b and the residues r of the orbit points r/b of x under the first
+    `steps` bases of q, as `cantor._greedy` walks them, and each point's text
+    p/q in lowest terms, from one gcd(r, b) and with b's decimal written once."""
+    b, _, residues = _greedy(x, q, steps)
+    over_b = f"/{b}"
+    texts = [str(r) + over_b if g == 1 else f"{r // g}/{b // g}"
+             for r, g in zip(residues, map(gcd, residues, repeat(b)))]
+    return b, residues, texts
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     x, q = _orbit_request(args, args.count)
-    points = orbit(x, q, args.count)
+    _, _, points = _orbit_points(x, q, args.count)
     _emit(args, ORBIT_FORMAT, ["index", "point"],
-          ((i, _frac(y)) for i, y in enumerate(points)),
+          [(range(len(points)), points)],
           lambda: {"x": x, "count": args.count, "q": q.bases,
                    "points": points})
     return 0
@@ -403,15 +418,14 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def cmd_discrepancy(args: argparse.Namespace) -> int:
     # COUNT counts orbit points, one more than the steps between them
     x, q = _orbit_request(args, args.count - 1)
-    points = orbit(x, q, args.count - 1)
-    star = star_discrepancy(points)
-    frequencies = dyadic_frequencies(points, 4)
+    b, residues, points = _orbit_points(x, q, args.count - 1)
+    star = _star_discrepancy(residues, b)
+    frequencies = _dyadic_frequencies(residues, b, 4)
 
     def rows():
         # a generator, so that `star`, whose denominator may pass the digit
         # cap that `_emit` lifts, is rendered only there
-        for i, y in enumerate(points):
-            yield ("point", i, None, None, None, _frac(y))
+        yield ("point", range(len(points)), None, None, None, points)
         for r in frequencies:
             yield ("frequency", None, _frac(r.lo), _frac(r.hi), r.hits,
                    _frac(r.fraction))

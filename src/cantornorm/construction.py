@@ -25,7 +25,7 @@ from itertools import chain, compress, islice, repeat
 from operator import sub
 from typing import Iterable, Sequence
 
-from .cantor import BasicSequence, Ints
+from .cantor import BasicSequence, Ints, Record
 from .errors import ConfigError, ResourceLimitError
 from .programs import Registry
 
@@ -40,8 +40,7 @@ class BlockChoice:
     positions: Sequence[int]
 
 
-@dataclass(frozen=True)
-class StageFunction:
+class StageFunction(Record):
     """One stage run: strictly increasing values on [0, 3**stage), or on the
     window `stage_trace` restricts them to."""
 
@@ -220,8 +219,7 @@ def basic_sequence_from(f: LimitFunction, n: int) -> BasicSequence:
     return BasicSequence.from_exponents(f.q_exponents[:n])
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """Growth bounds for one block.
 
     `within_step` and `within_closed` bound the value at the block's last
@@ -241,8 +239,7 @@ class BoundCheck:
     next_start_within_closed: bool | None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     checks: tuple[BoundCheck, ...]
     passed: bool
     first_violation: int | None

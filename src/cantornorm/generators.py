@@ -11,11 +11,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, product
 
-from .cantor import _as_word, value_of_bits
+from .cantor import Record, _as_word, value_of_bits
 from .errors import ConfigError
 
 
@@ -163,8 +162,7 @@ def _named(classes: Mapping, name, what: str):
     raise ConfigError(f"unknown {what}: {name!r}")
 
 
-@dataclass(frozen=True)
-class Oracle:
+class Oracle(Record):
     """Infinite bit source: an explicit finite prefix, one default bit beyond."""
 
     prefix: tuple[int, ...] = ()
@@ -252,8 +250,7 @@ class BitGenerator(ABC):
         return _write_fields(self, {"kind": self.kind})
 
 
-@dataclass(frozen=True)
-class ConstantBits(BitGenerator):
+class ConstantBits(BitGenerator, Record):
     bit: int = 0
     kind = "constant"
     _fields = (("bit", "bit", _config_bit, 0),)
@@ -272,8 +269,7 @@ class ConstantBits(BitGenerator):
         return self.bit == 1
 
 
-@dataclass(frozen=True)
-class PeriodicBits(BitGenerator):
+class PeriodicBits(BitGenerator, Record):
     pattern: tuple[int, ...]
     kind = "periodic"
     _fields = (("pattern", "pattern", _config_word, None),)
@@ -298,8 +294,7 @@ class PeriodicBits(BitGenerator):
         return all(b == 1 for b in self.pattern)
 
 
-@dataclass(frozen=True)
-class TableBits(BitGenerator):
+class TableBits(BitGenerator, Record):
     """Finitely many explicit bits over a constant default."""
 
     assignments: Mapping[int, int] | tuple[tuple[int, int], ...] = ()
@@ -335,8 +330,7 @@ class TableBits(BitGenerator):
         return self.default == 1
 
 
-@dataclass(frozen=True)
-class RationalBits(BitGenerator):
+class RationalBits(BitGenerator, Record):
     """Binary expansion of numerator/denominator, terminating form preferred."""
 
     numerator: int
@@ -370,8 +364,7 @@ class RationalBits(BitGenerator):
         return False
 
 
-@dataclass(frozen=True)
-class ChampernowneBits(BitGenerator):
+class ChampernowneBits(BitGenerator, Record):
     """Base-2 concatenation of 0, 1, 10, 11, 100, ... (irrational value)."""
 
     kind = "champernowne"
@@ -387,8 +380,7 @@ class ChampernowneBits(BitGenerator):
         return False
 
 
-@dataclass(frozen=True)
-class OracleBits(BitGenerator):
+class OracleBits(BitGenerator, Record):
     """Bit `position` of the attached oracle."""
 
     oracle: Oracle

@@ -6,19 +6,17 @@ renderings the CLI attaches for human readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .cantor import orbit_low_counts
+from .cantor import Record, orbit_low_counts
 from .construction import LimitFunction
 from .errors import ConfigError
 from .programs import Registry
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(Record):
     n: int
     lo: Fraction
     hi: Fraction
@@ -69,10 +67,16 @@ def interval_frequency(points: Sequence, lo, hi) -> FrequencyReport:
 
 def dyadic_frequencies(points: Sequence, depth: int) -> list[FrequencyReport]:
     """`interval_frequency` on every [j/2**k, (j+1)/2**k) for k = 1..depth and
-    j ascending, binning each point r/den once, into bin (r * 2**depth) // den."""
+    j ascending."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    numerators, den = _common_denominator(points)
+    return _dyadic_frequencies(*_common_denominator(points), depth)
+
+
+def _dyadic_frequencies(numerators: Sequence, den: int,
+                        depth: int) -> list[FrequencyReport]:
+    """`dyadic_frequencies` of the points r/den for r in `numerators`, each
+    in [0, den), binning each once, into bin (r * 2**depth) // den."""
     scale = 2 ** depth
     bins = [0] * scale
     for r in numerators:
@@ -92,18 +96,20 @@ def dyadic_frequencies(points: Sequence, depth: int) -> list[FrequencyReport]:
 def star_discrepancy(points: Sequence) -> Fraction:
     """Worst deviation of empirical mass from length over anchored intervals
     [0, t): with the sample sorted, max over i of
-    max(i/n - x_(i), x_(i) - (i-1)/n). On numerators x_(i) = r_i/den both
-    terms share the denominator n*den: with d_i = i*den - n*r_i they are
-    d_i and den - d_i."""
-    numerators, den = _common_denominator(points)
-    numerators.sort()
+    max(i/n - x_(i), x_(i) - (i-1)/n)."""
+    return _star_discrepancy(*_common_denominator(points))
+
+
+def _star_discrepancy(numerators: Sequence, den: int) -> Fraction:
+    """`star_discrepancy` of the points r/den for r in `numerators`, each in
+    [0, den): on sorted numerators x_(i) = r_i/den both terms share the
+    denominator n*den; with d_i = i*den - n*r_i they are d_i and den - d_i."""
     n = len(numerators)
-    gaps = [i * den - n * r for i, r in enumerate(numerators, start=1)]
+    gaps = [i * den - n * r for i, r in enumerate(sorted(numerators), start=1)]
     return Fraction(max(0, max(gaps), den - min(gaps)), n * den)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Certificate that one program's orbit positions pile onto one half of
     [0, 1]: among p < checkpoint, classified by the program's settled bit at
     value f(p), the chosen side holds at least two thirds."""
@@ -145,8 +151,7 @@ def witness_check(registry: Registry, e: int, f: LimitFunction) -> WitnessReport
                          fraction_high, side >= Fraction(2, 3))
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
+class CheckpointRecord(Record):
     index: int
     checkpoint: int
     chosen_bit: int
@@ -157,8 +162,7 @@ class CheckpointRecord:
     orbit_agrees: bool | None
 
 
-@dataclass(frozen=True)
-class NonNormalityReport:
+class NonNormalityReport(Record):
     source_index: int
     records: tuple[CheckpointRecord, ...]
     non_normal: bool | None

@@ -13,9 +13,9 @@ import json
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
+from .cantor import Record
 from .errors import ConfigError
 from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
                          _check_position, _config_int, _config_table, _named,
@@ -58,8 +58,7 @@ class HaltRule(ABC):
         return _write_fields(self, {"rule": self.rule})
 
 
-@dataclass(frozen=True)
-class ConstantHalt(HaltRule):
+class ConstantHalt(HaltRule, Record):
     steps: int = 0
     rule = "constant"
     _fields = (("steps", "steps", _config_int, 0),)
@@ -73,8 +72,7 @@ class ConstantHalt(HaltRule):
         return self.steps
 
 
-@dataclass(frozen=True)
-class LinearHalt(HaltRule):
+class LinearHalt(HaltRule, Record):
     slope: int = 1
     intercept: int = 0
     rule = "linear"
@@ -89,8 +87,7 @@ class LinearHalt(HaltRule):
         return self.slope * _check_position(position) + self.intercept
 
 
-@dataclass(frozen=True)
-class TableHalt(HaltRule):
+class TableHalt(HaltRule, Record):
     """Finitely many explicit halting times over a constant default."""
 
     entries: Mapping[int, int] | tuple[tuple[int, int], ...] = ()
@@ -135,8 +132,7 @@ def halt_from_config(cfg) -> HaltRule:
                         f"{rule} halting rule", ("rule",))
 
 
-@dataclass(frozen=True)
-class ProgramEntry:
+class ProgramEntry(Record):
     index: int
     generator: BitGenerator
     halt: HaltRule
@@ -147,8 +143,7 @@ class ProgramEntry:
             raise ValueError("index must be >= 0")
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Record):
     """Ordered program entries plus an optional oracle bit source."""
 
     entries: tuple[ProgramEntry, ...] = ()
