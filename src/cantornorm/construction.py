@@ -25,9 +25,10 @@ from itertools import chain, compress, islice, repeat
 from operator import sub
 from typing import Iterable, Sequence
 
-from .cantor import BasicSequence, Ints, Record
+from .cantor import BasicSequence, Ints
 from .errors import ConfigError, ResourceLimitError
 from .programs import Registry
+from .records import Record
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, count, islice, product
 
-from .cantor import Record, _as_word, value_of_bits
 from .errors import ConfigError
+from .records import Record, _as_word, value_of_bits
 
 
 def champernowne_digit(base: int, index: int) -> int:

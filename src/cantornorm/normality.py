@@ -10,10 +10,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .cantor import Record, orbit_low_counts
+from .cantor import orbit_low_counts
 from .construction import LimitFunction
 from .errors import ConfigError
 from .programs import Registry
+from .records import Record
 
 
 class FrequencyReport(Record):

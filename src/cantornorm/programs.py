@@ -15,12 +15,12 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
-from .cantor import Record
 from .errors import ConfigError
 from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
                          _check_position, _config_int, _config_table, _named,
                          _read_fields, _sorted_table, _table_window,
                          _write_fields, generator_from_config)
+from .records import Record
 
 REGISTRY_FORMAT = "registry/1"
 

@@ -1,0 +1,117 @@
+"""The frozen-record base of the value types, and exact binary words: what the
+registry layer needs, without importing `dataclasses` or the Cantor series."""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from fractions import Fraction
+
+_MISSING = object()  # no default: a field whose class attribute is absent
+
+
+class Record:
+    """Base of the package's frozen value types, behaving as
+    `@dataclass(frozen=True)` would, without the code that the decorator
+    generates and compiles per class on every start of the program.
+
+    A subclass's fields, its `__match_args__`, are its annotated names in
+    order, after those of a record it extends, and a class attribute of a
+    field's name is its default. Records init (then call `__post_init__`),
+    compare, hash and print as that dataclass would, refuse assignment and
+    deletion with `dataclasses.FrozenInstanceError` (imported only then),
+    and pickle; `dataclasses.fields` and `asdict` do not apply to them,
+    `_asdict` gives their fields by name."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(dict.fromkeys(
+            (*cls.__match_args__, *cls.__dict__.get("__annotations__", ()))))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields, state = type(self), self.__match_args__, self.__dict__
+        given = len(args)
+        if given > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} "
+                            f"positional arguments but {given} were given")
+        state.update(zip(fields, args))
+        for field in fields[given:]:
+            state[field] = kwargs.pop(field, getattr(cls, field, _MISSING))
+            if state[field] is _MISSING:
+                raise TypeError(f"{cls.__qualname__}() missing argument "
+                                f"{field!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__qualname__}() got an unexpected or "
+                            f"repeated keyword argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        return {name: self.__dict__[name] for name in self.__match_args__}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # a record equals itself, as a tuple of its fields does
+        return other is self or self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
+    word = tuple(bits)
+    for b in word:
+        if b not in (0, 1):
+            raise ValueError(f"bit out of range: {b!r}")
+    return word
+
+
+class DyadicValue(Record):
+    """Exact value numerator / 2**exponent, kept unreduced so the length of
+    the originating word stays visible."""
+
+    numerator: int
+    exponent: int
+
+    def __post_init__(self) -> None:
+        if self.exponent < 0:
+            raise ValueError("exponent must be a natural number")
+        if not 0 <= self.numerator <= 2 ** self.exponent:
+            raise ValueError("numerator must lie in [0, 2**exponent]")
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, 2 ** self.exponent)
+
+
+def value_of_bits(bits: Sequence[int]) -> DyadicValue:
+    """Value of a finite word w as the sum of w(n) / 2**(n+1)."""
+    word = _as_word(bits)
+    return DyadicValue(int("0" + "".join(["01"[b] for b in word]), 2), len(word))
+
+
+def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:
+    """The word with its first n bits dropped."""
+    word = _as_word(bits)
+    if not 0 <= n <= len(word):
+        raise ValueError(f"cannot drop {n} bits from a word of length {len(word)}")
+    return word[n:]

@@ -136,6 +136,7 @@ def alias_forest(draw):
 
 
 @given(alias_forest())
+@settings(deadline=None)
 def test_alias_groups_group_by_root(programs):
     reg = Registry.assemble(programs)
     expected: dict = {}

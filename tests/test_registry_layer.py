@@ -1,0 +1,89 @@
+"""`import cantornorm` resolves its public names on first access, so that
+loading a registry imports only the registry layer (`errors`, `records`,
+`generators`, `programs`): not `dataclasses` with `inspect`, nor the
+Cantor-series, construction, normality or CLI code, which a registry load
+never calls and every start of the program would otherwise compile and run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cantornorm
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
+NOT_LOADED = {"dataclasses", "inspect", "cantornorm.cantor",
+              "cantornorm.construction", "cantornorm.normality",
+              "cantornorm.cli"}
+
+
+def fresh(code: str, *args: str) -> list[str]:
+    """The lines `code` prints, run by a new interpreter that finds this
+    copy of the package."""
+    path = str(Path(cantornorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_registry_load_imports_only_the_registry_layer():
+    # modules that start-up itself loads, as `site` does, do not count
+    (bare,) = fresh("import sys; print(*sys.modules)")
+    (after,) = fresh(
+        "import sys\n"
+        "import cantornorm\n"
+        "cantornorm.Registry.from_file(sys.argv[1], oracle_path=sys.argv[2])\n"
+        "print(*sys.modules)",
+        str(INPUTS / "deep_registry.json"), str(INPUTS / "deep_oracle.txt"))
+    loaded = set(after.split()) - set(bare.split())
+    assert {"cantornorm.programs", "cantornorm.records"} <= loaded
+    assert not loaded & NOT_LOADED
+
+
+def test_frozen_error_is_imported_when_a_record_is_written():
+    lines = fresh(
+        "import sys\n"
+        "from cantornorm import DyadicValue\n"
+        "value = DyadicValue(1, 1)\n"
+        "print('dataclasses' in sys.modules)\n"
+        "for write in (lambda: setattr(value, 'exponent', 2),\n"
+        "              lambda: delattr(value, 'exponent')):\n"
+        "    try:\n"
+        "        write()\n"
+        "    except Exception as error:\n"
+        "        import dataclasses\n"
+        "        print(type(error) is dataclasses.FrozenInstanceError, error)")
+    assert lines == ["False", "True cannot assign to field 'exponent'",
+                     "True cannot delete field 'exponent'"]
+
+
+def test_public_names_are_their_defining_modules_objects():
+    for name in cantornorm.__all__:
+        value = getattr(cantornorm, name)
+        assert value.__module__.startswith("cantornorm."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_public_name_follows_a_rebinding_in_its_module(monkeypatch):
+    # as a tracer that wraps a module's function relies on
+    from cantornorm import construction
+    wrapped = object()
+    monkeypatch.setattr(construction, "limit_function", wrapped)
+    assert cantornorm.limit_function is wrapped
+
+
+def test_dir_lists_every_public_name_before_its_first_access():
+    (names,) = fresh("import cantornorm; print(*dir(cantornorm))")
+    assert {*cantornorm.__all__, "__version__"} <= set(names.split())
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cantornorm.no_such_name
+    with pytest.raises(ImportError):
+        from cantornorm import no_such_name  # noqa: F401
