@@ -9,17 +9,15 @@ layers. Binary words and the `Record` base live in `records`, named here too.
 from __future__ import annotations
 
 from array import array
-from collections import abc
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
 
 from .records import (DyadicValue, Record, _as_word, shift,  # noqa: F401
                       value_of_bits)
 
 
-class Ints(abc.Sequence):
+class Ints(Sequence):
     """A read-only sequence of ints held as 64-bit C integers: the items of
     `data`, an `array('q')` or a memoryview of one, or with `powers` set the
     ints 2**s for each item s of `data`. It equals a tuple or an `Ints` with
@@ -65,8 +63,7 @@ class Ints(abc.Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class BasicSequence:
+class BasicSequence(Record):
     """Bases q_0, q_1, ... of a Cantor series, each q_n >= 2. Power-of-two
     bases made by `from_exponents` are held as their exponents s_n >= 1, in
     an `Ints` whose items are raised to q_n = 2**s_n on read."""

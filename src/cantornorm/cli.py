@@ -12,24 +12,22 @@ import csv
 import json
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-# `orbit` and `star_discrepancy` are bound here for callers of this module;
-# the commands take the orbit's residues from `_greedy` instead
-from .cantor import (BasicSequence, Ints, _greedy, cantor_digits, cantor_value,
-                     orbit)
+from .cantor import BasicSequence, Ints, _greedy, cantor_digits, cantor_value
 from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
                            require_stages, _stage_snapshot, verify_bound)
 from .errors import ConfigError, ResourceLimitError
 from .generators import champernowne_bits
 from .normality import (_dyadic_frequencies, _star_discrepancy,
-                        report_from_witnesses, star_discrepancy, witness_check)
+                        report_from_witnesses, witness_check)
 from .programs import Registry
+from .records import Record
 
 BUILD_FORMAT = "f-table/1"
 VERIFY_FORMAT = "witness-report/1"
@@ -103,7 +101,7 @@ def _one_type(items) -> type | None:
     return types.pop() if len(types) == 1 else None
 
 
-class _Table(NamedTuple):
+class _Table(Record):
     """A JSON list of records sharing `keys`, given as `rows`, a series of
     runs. A run is a tuple aligned with `keys`, whose entries past them are
     left out. Each entry is a `_SCALARS` constant that all of the run's

@@ -19,11 +19,10 @@ position gets a certificate budget beyond which its value never changes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import sub
-from typing import Iterable, Sequence
 
 from .cantor import BasicSequence, Ints
 from .errors import ConfigError, ResourceLimitError
@@ -31,8 +30,7 @@ from .programs import Registry
 from .records import Record
 
 
-@dataclass(frozen=True)
-class BlockChoice:
+class BlockChoice(Record):
     """Outcome of one stage: the bit kept and the positions appended, a view
     into the run's values."""
 
@@ -50,8 +48,7 @@ class StageFunction(Record):
     blocks: tuple[BlockChoice, ...]
 
 
-@dataclass(frozen=True)
-class LimitFunction:
+class LimitFunction(Record):
     """Settled values on [0, settled_through], with one certificate per
     block: the stage from which the block's values never change."""
 
@@ -62,12 +59,13 @@ class LimitFunction:
     stage_budget: int
 
     @cached_property
-    def certificates(self) -> Ints:
-        """Each position's certificate, its block's (0 at position 0)."""
+    def certificates(self) -> tuple[int, ...]:
+        """Each position's certificate, its block's (0 at position 0): a
+        tuple, as a declared halting time may pass 64 bits."""
         end = self.settled_through + 1
-        return Ints(array("q", chain((0,), *(
+        return tuple(chain((0,), *(
             repeat(c, min(3 ** (t + 1), end) - 3 ** t)
-            for t, c in enumerate(self.block_certificates)))))
+            for t, c in enumerate(self.block_certificates))))
 
     @cached_property
     def q_exponents(self) -> Ints:

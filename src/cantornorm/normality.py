@@ -6,9 +6,9 @@ renderings the CLI attaches for human readers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
 
 from .cantor import orbit_low_counts
 from .construction import LimitFunction

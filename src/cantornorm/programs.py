@@ -232,8 +232,8 @@ class Registry(Record):
         for item in programs:
             if isinstance(item, int):
                 if not 0 <= item < len(entries):
-                    raise ConfigError(
-                        f"alias target {item} must name an earlier entry")
+                    raise ConfigError(f"entry {len(entries)}: alias target "
+                                      f"{item} must name an earlier entry")
                 target = entries[item]
                 entries.append(ProgramEntry(len(entries), target.generator,
                                             target.halt, alias_of=item))

@@ -19,8 +19,8 @@ class Record:
     field's name is its default. Records init (then call `__post_init__`),
     compare, hash and print as that dataclass would, refuse assignment and
     deletion with `dataclasses.FrozenInstanceError` (imported only then),
-    and pickle; `dataclasses.fields` and `asdict` do not apply to them,
-    `_asdict` gives their fields by name."""
+    and pickle. They are not dataclasses: as on a namedtuple, `_asdict`
+    gives their fields by name and `_replace` a copy with some changed."""
 
     __slots__ = ()
     __match_args__ = ()
@@ -53,6 +53,10 @@ class Record:
     def _asdict(self) -> dict:
         """The fields by name, in order."""
         return {name: self.__dict__[name] for name in self.__match_args__}
+
+    def _replace(self, **changes):
+        """A copy with `changes`, through `__init__` and `__post_init__`."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import errno
 import io
 import itertools
@@ -274,12 +273,13 @@ class TestVerify:
         # champernowne source 2 has none; the walk counts on residues and
         # builds no orbit
         calls = count_calls(monkeypatch, "orbit_low_counts", [normality])
-        orbits = count_calls(monkeypatch, "orbit", [cantor, cli])
+        orbits = count_calls(monkeypatch, "orbit", [cantor])
         path = registry_file(MIXED_REGISTRY)
         assert cli.main(["verify", "--registry", path, "--stages", "4"]) == 0
         assert ([max(checkpoints) - 1 for _, _, checkpoints in calls]
                 == [3 ** 4 - 1, 3 ** 2 - 1])
         assert orbits == []
+        assert not hasattr(cli, "orbit")  # so no call can bypass the count
 
     def test_failing_witness_exits_three(self, registry_file, monkeypatch, capsys):
         def broken(registry, e, f):
@@ -299,8 +299,7 @@ class TestVerify:
         def stretched(registry, max_position):
             # f(8) = 17 passes block 1's closed bound 2 * (3**2 - 1) = 16
             f = real(registry, max_position)
-            return dataclasses.replace(
-                f, values=f.values[:-1] + (f.values[-1] + 9,))
+            return f._replace(values=f.values[:-1] + (f.values[-1] + 9,))
         monkeypatch.setattr(cli, "limit_function", stretched)
         path = registry_file(ZERO_REGISTRY)
         code, payload = run_json(
@@ -357,8 +356,8 @@ class TestDiscrepancy:
         assert code == 0
         assert len(payload["points"]) == 4
         assert Fraction(payload["star_discrepancy"]) == Fraction(
-            cli.star_discrepancy([Fraction(1, 3), Fraction(2, 3),
-                                  Fraction(1, 3), Fraction(2, 3)]))
+            normality.star_discrepancy([Fraction(1, 3), Fraction(2, 3),
+                                        Fraction(1, 3), Fraction(2, 3)]))
         assert len(payload["frequencies"]) == 2 + 4 + 8 + 16
         full = sum(Fraction(r["fraction"]) for r in payload["frequencies"]
                    if r["lo"] in ("0/1", "1/2") and Fraction(r["hi"]) - Fraction(r["lo"]) == Fraction(1, 2))
@@ -575,6 +574,20 @@ class TestStrictIntegers:
                                           {"kind": "constant"},
                                           {"alias_of": True}]})
         assert cli.main(["build", "--registry", path, "--stages", "1"]) == 1
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"alias_of": 0}], "entry 0: alias target 0 must name an earlier "
+                            "entry"),
+        ([{"kind": "constant"}, {"alias_of": 3}, {"kind": "constant"}],
+         "entry 1: alias target 3 must name an earlier entry"),
+        ([{"kind": "constant"}, {"alias_of": -1}],
+         "entry 1: alias target -1 must name an earlier entry"),
+    ], ids=["self", "forward", "negative"])
+    def test_alias_target_error_names_its_entry(self, registry_file, capsys,
+                                                entries, message):
+        path = registry_file({"entries": entries})
+        assert cli.main(["build", "--registry", path, "--stages", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOutputErrors:

@@ -88,6 +88,15 @@ class TestLimitFunction:
         assert f.values == late.values
         assert f.certificates[1] <= 100
 
+    def test_certificates_past_64_bits(self):
+        # registry/1 does not bound a declared halting time
+        reg = Registry.from_config({"entries": [
+            {"kind": "constant", "halt": {"rule": "linear", "slope": 10 ** 22}},
+            {"kind": "constant"}]})
+        f = limit_function(reg, 8)
+        assert min(f.block_certificates) >= 2 ** 63
+        assert f.certificates == certificate_oracle(reg, 8)[0]
+
     def test_required_stages_reported(self):
         with pytest.raises(ResourceLimitError) as excinfo:
             limit_function(zero_registry(2), 26)

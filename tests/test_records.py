@@ -2,7 +2,7 @@
 behaves as a `@dataclass(frozen=True)` twin built here from its own class
 body (its annotations, defaults, `__post_init__` and methods) would: in
 init, comparison, hashing, printing and frozenness; and a record pickles.
-Only the types that callers `dataclasses.replace` stay dataclasses."""
+No type of the package is a dataclass."""
 
 import dataclasses
 import inspect
@@ -22,6 +22,7 @@ from cantornorm import (BasicSequence, BlockChoice, BoundCheck, BoundReport,
                         ProgramEntry, RationalBits, Registry, StageFunction,
                         TableBits, TableHalt, WitnessReport)
 from cantornorm.cantor import Record
+from cantornorm.cli import _Table
 
 # each record type with the fields of one valid instance
 EXAMPLES = {
@@ -47,6 +48,10 @@ EXAMPLES = {
     TableHalt: ({3: 1}, 2),
     ProgramEntry: (0, ConstantBits(1), ConstantHalt(2), None),
     Registry: ((ProgramEntry(0, ConstantBits(1), ConstantHalt(2)),), None),
+    BasicSequence: ((2, 3),),
+    BlockChoice: (0, 1, (1, 2)),
+    LimitFunction: ((0, 1, 2), 2, (1,), (BlockChoice(0, 1, (1, 2)),), 4),
+    _Table: (("a", "b"), ((1, (2, 3)),)),
 }
 RECORDS = list(EXAMPLES)
 
@@ -179,15 +184,31 @@ def test_record_behaves_as_its_dataclass_twin(cls, data):
     assert type(copy) is cls and copy == record and repr(copy) == repr(record)
 
 
-def test_only_replaced_types_are_dataclasses():
+def test_no_type_is_a_dataclass():
     # a dataclass costs every start of the program its generated code, so
-    # a new one must be a Record unless callers need `dataclasses.replace`
+    # a value type is a Record, and `_replace` stands for `dataclasses.replace`
     classes = {obj for name, module in list(sys.modules.items())
                if name == "cantornorm" or name.startswith("cantornorm.")
                for obj in vars(module).values()
                if isinstance(obj, type)
                and obj.__module__.startswith("cantornorm")}
-    assert ({cls for cls in classes if dataclasses.is_dataclass(cls)}
-            == {LimitFunction, BasicSequence, BlockChoice})
+    assert not {cls for cls in classes if dataclasses.is_dataclass(cls)}
     assert ({cls for cls in classes if issubclass(cls, Record)}
             == {Record, *RECORDS})
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_replace_behaves_as_dataclasses_replace(cls, data):
+    record, double = cls(*EXAMPLES[cls]), TWINS[cls](*EXAMPLES[cls])
+    changes = data.draw(st.dictionaries(
+        st.sampled_from([*cls.__match_args__, "not_a_field"]),
+        st.sampled_from(VALUES)))
+    copy, error = outcome(record._replace, (), changes)
+    twin_copy, twin_error = outcome(dataclasses.replace, (double,), changes)
+    assert type(error) is type(twin_error)
+    if copy is not None:
+        assert type(copy) is cls and repr(copy) == repr(twin_copy)
+        assert copy == cls(**{**record._asdict(), **changes})
+    assert repr(record) == repr(double)  # neither side changed in place

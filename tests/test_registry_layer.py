@@ -3,6 +3,7 @@ loading a registry imports only the registry layer (`errors`, `records`,
 `generators`, `programs`): not `dataclasses` with `inspect`, nor the
 Cantor-series, construction, normality or CLI code, which a registry load
 never calls and every start of the program would otherwise compile and run.
+A CLI command, too, imports neither `dataclasses` nor `typing`.
 """
 
 import os
@@ -43,6 +44,23 @@ def test_registry_load_imports_only_the_registry_layer():
     loaded = set(after.split()) - set(bare.split())
     assert {"cantornorm.programs", "cantornorm.records"} <= loaded
     assert not loaded & NOT_LOADED
+
+
+def test_cli_command_imports_no_dataclasses_or_typing():
+    # the modules a dataclass or a `typing` import brings, each compiled or
+    # run on every start of the program
+    (bare,) = fresh("import sys; print(*sys.modules)")
+    (after,) = fresh(
+        "import os, sys\n"
+        "from cantornorm import cli\n"
+        "assert cli.main(['verify', '--registry', sys.argv[1], '--oracle',\n"
+        "                 sys.argv[2], '--stages', '3', '--out', os.devnull]) == 0\n"
+        "print(*sys.modules)",
+        str(INPUTS / "deep_registry.json"), str(INPUTS / "deep_oracle.txt"))
+    loaded = set(after.split()) - set(bare.split())
+    assert "cantornorm.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "dis", "ast", "tokenize",
+                         "typing"}
 
 
 def test_frozen_error_is_imported_when_a_record_is_written():
