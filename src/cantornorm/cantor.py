@@ -11,18 +11,19 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 from .records import (DyadicValue, Record, _as_word, shift,  # noqa: F401
                       value_of_bits)
 
 
 class Ints(Sequence):
-    """A read-only sequence of ints held as 64-bit C integers: the items of
-    `data`, an `array('q')` or a memoryview of one, or with `powers` set the
-    ints 2**s for each item s of `data`. It equals a tuple or an `Ints` with
-    the same items, either way round and inside tuples, and hashes as that
-    tuple; a slice is a view into the same memory, and `+` gives a tuple."""
+    """A read-only sequence of ints held as C integers: the items of `data`,
+    a `bytes`, an `array('q')` or a memoryview of either, or with `powers`
+    set the ints 2**s for each item s of `data`. It equals a tuple or an
+    `Ints` with the same items, either way round and inside tuples, and
+    hashes as that tuple; a slice is a view into the same memory, and `+`
+    gives a tuple."""
 
     __slots__ = ("data", "powers")
 
@@ -191,19 +192,28 @@ def orbit_low_counts(x, exponents: Iterable[int],
                      checkpoints: Sequence[int]) -> list[int]:
     """For each checkpoint c, how many orbit points y_0 .. y_{c-1} of x under
     the bases 2**s_k lie in [0, 1/2), on integers: with x = a/b in lowest
-    terms, r_0 = a, r_{k+1} = (r_k << s_k) % b, and y_k < 1/2 iff 2 r_k < b.
-    The exponents are read lazily, as far as the largest checkpoint needs."""
+    terms, r_0 = a, r_{k+1} = (r_k << s_k) % b, and y_k < 1/2 iff 2 r_k < b,
+    that is iff r_k < ceil(b/2). The walk runs once, one loop over a slice of
+    the exponents from each distinct checkpoint to the next, and reads an
+    iterator only as far as the largest checkpoint needs."""
     value = Fraction(x)
     if not 0 <= value < 1:
         raise ValueError(f"x must lie in [0, 1), got {value}")
-    b, r, low, counts = value.denominator, value.numerator, 0, {0: 0}
-    wanted = set(checkpoints)
-    for k, s in enumerate(islice(chain((0,), exponents), max(wanted, default=0)), 1):
-        r = (r << s) % b
-        low += 2 * r < b
-        if k in wanted:
-            counts[k] = low
-    if wanted - counts.keys():
+    wanted = sorted(set(checkpoints))
+    if not isinstance(exponents, Sequence):
+        exponents = tuple(islice(exponents, max(0, max(wanted, default=0) - 1)))
+    if wanted and not 0 <= wanted[0] <= wanted[-1] <= len(exponents) + 1:
         raise ValueError("checkpoints must lie in [0, exponents + 1], "
-                         f"got {sorted(wanted)}")
+                         f"got {wanted}")
+    b, r = value.denominator, value.numerator
+    half = (b + 1) // 2
+    # y_0 = x itself counts at every checkpoint from 1 on
+    counts, low, done = {0: 0}, int(r < half), 1
+    for c in wanted:
+        if c:
+            for s in exponents[done - 1:c - 1]:  # points done .. c - 1
+                r = (r << s) % b
+                if r < half:  # faster than adding the bool
+                    low += 1
+            counts[c], done = low, c
     return [counts[c] for c in checkpoints]

@@ -12,7 +12,8 @@ import csv
 import json
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import (Callable, Container, Iterable, Iterator,
+                             Sequence)
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -469,7 +470,11 @@ def _add_common(parser: argparse.ArgumentParser, registry: bool = True,
                         help="output file (default: stdout)")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(commands: Container[str] | None = None) -> _Parser:
+    """The program's parser, with the arguments of the commands named in
+    `commands`, or of every command if it is None. Every command gets its
+    subparser, so that the program's help and its "invalid choice" error
+    name them all."""
     parser = _Parser(prog="cantornorm",
                      description="Build power-of-two basic sequences by staged "
                                  "diagonalization against a program registry and "
@@ -478,19 +483,25 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("build", help="emit the settled position table and the "
-                                     "derived base sequence")
-    _add_common(p, stages_required=True)
-    p.add_argument("--max-pos", dest="max_pos", type=_at_least(0), metavar="N",
-                   help="largest settled position (default: 3**S - 1)")
-    p.add_argument("--trace", type=_at_least(1), metavar="S_MAX",
-                   help="also emit stage approximations 1..S_MAX (json only)")
-    p.set_defaults(func=cmd_build)
+    def command(name: str, help_text: str) -> _Parser | None:
+        p = sub.add_parser(name, help=help_text)
+        return p if commands is None or name in commands else None
 
-    p = sub.add_parser("verify", help="run witness checks for every stage index "
-                                      "and non-normality reports per source")
-    _add_common(p, stages_required=True)
-    p.set_defaults(func=cmd_verify)
+    if p := command("build", "emit the settled position table and the "
+                             "derived base sequence"):
+        _add_common(p, stages_required=True)
+        p.add_argument("--max-pos", dest="max_pos", type=_at_least(0),
+                       metavar="N",
+                       help="largest settled position (default: 3**S - 1)")
+        p.add_argument("--trace", type=_at_least(1), metavar="S_MAX",
+                       help="also emit stage approximations 1..S_MAX (json "
+                            "only)")
+        p.set_defaults(func=cmd_build)
+
+    if p := command("verify", "run witness checks for every stage index and "
+                              "non-normality reports per source"):
+        _add_common(p, stages_required=True)
+        p.set_defaults(func=cmd_verify)
 
     for name, func, least, help_text, count_help in (
             ("expand", cmd_expand, 0, "Cantor digits of x under the "
@@ -500,24 +511,28 @@ def _build_parser() -> _Parser:
             ("discrepancy", cmd_discrepancy, 1, "orbit statistics: dyadic "
              "interval frequencies and star discrepancy",
              "number of orbit points")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("x", help="rational in [0, 1), e.g. 5/6")
-        p.add_argument("count", type=_at_least(least), help=count_help)
-        p.set_defaults(func=func)
+        if p := command(name, help_text):
+            _add_common(p)
+            p.add_argument("x", help="rational in [0, 1), e.g. 5/6")
+            p.add_argument("count", type=_at_least(least), help=count_help)
+            p.set_defaults(func=func)
 
-    p = sub.add_parser("champernowne", help="digit prefix of the base-b "
-                                            "concatenation of 0, 1, 2, ...")
-    _add_common(p, registry=False)
-    p.add_argument("base", type=_at_least(2))
-    p.add_argument("count", type=_at_least(0))
-    p.set_defaults(func=cmd_champernowne)
+    if p := command("champernowne", "digit prefix of the base-b "
+                                    "concatenation of 0, 1, 2, ..."):
+        _add_common(p, registry=False)
+        p.add_argument("base", type=_at_least(2))
+        p.add_argument("count", type=_at_least(0))
+        p.set_defaults(func=cmd_champernowne)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the program takes no option but -h, so its first token that is not an
+    # option names the command, whose arguments alone are built
+    parser = _build_parser([next((a for a in argv if not a.startswith("-")),
+                                 None)])
     out_of_memory = False
     try:
         args = parser.parse_args(argv)

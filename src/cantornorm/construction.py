@@ -70,8 +70,23 @@ class LimitFunction(Record):
     @cached_property
     def q_exponents(self) -> Ints:
         """The exponents f(i+1) - f(i) of Q's bases 2**(f(i+1) - f(i)) for
-        i = 0, 1, ... through f's last settled value, computed once."""
-        return Ints(array("q", map(sub, self.values[1:], self.values)))
+        i = 0, 1, ... through f's last settled value, computed once: a byte
+        each when every gap fits in one, else 64-bit ints."""
+        values = self.values
+        try:
+            return Ints(bytes(map(sub, values[1:], values)))
+        except ValueError:  # a gap past 255
+            return Ints(array("q", map(sub, values[1:], values)))
+
+    @cached_property
+    def position_mask(self) -> bytes:
+        """One byte per position 0 .. f(settled_through), 1 exactly at f's
+        values. `limit_function` gives it the staged scan's mask; any other
+        limit, a `_replace` copy among them, builds it from its own values."""
+        mask = bytearray(self.values[-1] + 1)
+        for v in self.values:
+            mask[v] = 1
+        return bytes(mask)
 
 
 def block_of(position: int) -> int | None:
@@ -132,9 +147,13 @@ def require_stages(registry: Registry, position: int,
     return stages
 
 
-def _run_stages(registry: Registry, stages: int,
-                budget: int) -> tuple[Ints, tuple[BlockChoice, ...]]:
+def _run_stages(registry: Registry, stages: int, budget: int
+                ) -> tuple[Ints, tuple[BlockChoice, ...], bytes]:
+    """The values, the blocks and the position mask of a run. Each window
+    starts just past the last value, so the windows, cut at their last kept
+    position, join into the mask."""
     values = array("q", [0])
+    mask = bytearray(b"\1")
     chosen_bits = []
     for t in range(stages):
         cut = values[-1]
@@ -145,18 +164,19 @@ def _run_stages(registry: Registry, stages: int,
         if chosen_bit == 0:  # flip the bytes, so that 1 marks the kept
             bits = bits.translate(bytes.maketrans(b"\0\1", b"\1\0"))
         values.extend(islice(compress(window, bits), quota))
+        mask += bits[:values[-1] - cut]
         chosen_bits.append(chosen_bit)
     # stage t appended positions [3**t, 3**(t+1)); views are taken only now,
     # since an array with a view on it cannot grow
     values = Ints(values)
     return values, tuple(BlockChoice(t, bit, values[3 ** t:3 ** (t + 1)])
-                         for t, bit in enumerate(chosen_bits))
+                         for t, bit in enumerate(chosen_bits)), bytes(mask)
 
 
 def build_stage_function(registry: Registry, stage: int) -> StageFunction:
     """The stage-`stage` approximation: `stage` stages at step budget stage+1."""
     require_stages(registry, 0, stage)
-    values, blocks = _run_stages(registry, stage, stage + 1)
+    values, blocks, _ = _run_stages(registry, stage, stage + 1)
     return StageFunction(stage, values, blocks)
 
 
@@ -173,13 +193,17 @@ def limit_function(registry: Registry, max_position: int) -> LimitFunction:
     needed = [max(registry.settle_budget(e, 2 * (3 ** (t + 1) - 1))
                   for e in range(t + 1)) for t in range(stages)]
     stage_budget = max([stages, *needed])
-    values, blocks = _run_stages(registry, stages, stage_budget + 1)
+    values, blocks, mask = _run_stages(registry, stages, stage_budget + 1)
     # the run at stage s uses budget s+1, so s >= settle-1 settles block t;
     # s >= t+1 puts it in the domain
     certificates = tuple(max(t + 1, settle - 1)
                          for t, settle in enumerate(needed))
-    return LimitFunction(values[:max_position + 1], max_position,
-                         certificates, blocks, stage_budget)
+    f = LimitFunction(values[:max_position + 1], max_position,
+                      certificates, blocks, stage_budget)
+    # the scan's mask, cut to the settled values, is the one `position_mask`
+    # would build from them
+    vars(f)["position_mask"] = mask[:values[max_position] + 1]
+    return f
 
 
 def stage_trace(registry: Registry, max_position: int,
@@ -201,7 +225,8 @@ def _stage_snapshot(registry: Registry, limit: LimitFunction,
     if s < 0:
         raise ValueError("stage index must be >= 0")
     if s < limit.stage_budget:
-        values, blocks = _run_stages(registry, min(s, len(limit.blocks)), s + 1)
+        values, blocks, _ = _run_stages(registry, min(s, len(limit.blocks)),
+                                        s + 1)
     else:  # budget s+1 settles every position the stages consult
         values, blocks = limit.values, limit.blocks
     return StageFunction(s, values[:limit.settled_through + 1], blocks)

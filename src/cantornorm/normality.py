@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice
 
 from .cantor import orbit_low_counts
 from .construction import LimitFunction
@@ -142,9 +141,13 @@ def witness_check(registry: Registry, e: int, f: LimitFunction) -> WitnessReport
             f"limit values are settled through position {f.settled_through}, "
             f"need {checkpoint - 1} for program {e}")
     chosen_bit = f.blocks[e].chosen_bit
-    # one window through f(checkpoint - 1), read at the values f(p)
-    window = registry.entry(e).generator.window(0, f.values[checkpoint - 1] + 1)
-    low = checkpoint - sum(map(window.__getitem__, islice(f.values, checkpoint)))
+    # one window through f(checkpoint - 1), ANDed with the mask's prefix,
+    # which marks exactly f(0) .. f(checkpoint - 1)
+    end = f.values[checkpoint - 1] + 1
+    window = registry.entry(e).generator.window(0, end)
+    high = (int.from_bytes(window, "big")
+            & int.from_bytes(f.position_mask[:end], "big")).bit_count()
+    low = checkpoint - high
     fraction_low = Fraction(low, checkpoint)
     fraction_high = Fraction(checkpoint - low, checkpoint)
     side = fraction_low if chosen_bit == 0 else fraction_high

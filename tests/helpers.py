@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         LinearHalt, Oracle, OracleBits, PeriodicBits,
@@ -173,6 +174,15 @@ def checkpoint_orbit_low(value, f, checkpoint: int) -> Fraction:
     steps = checkpoint - 1
     points = orbit(value, basic_sequence_from(f, steps), steps)
     return interval_frequency(points, 0, Fraction(1, 2)).fraction
+
+
+def gathered_low_count(registry: Registry, e: int, f) -> int:
+    """Program e's witness low count by a per-position gather: one window
+    through f(3**(e+1) - 1), read at each value f(p) for p < 3**(e+1), with
+    no position mask."""
+    checkpoint = 3 ** (e + 1)
+    window = registry.entry(e).generator.window(0, f.values[checkpoint - 1] + 1)
+    return checkpoint - sum(map(window.__getitem__, islice(f.values, checkpoint)))
 
 
 def reference_bit(generator, p: int) -> int:

@@ -1,10 +1,12 @@
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cantornorm import (BasicSequence, CantorDigits, DyadicValue, cantor_digits,
-                        cantor_value, orbit, shift, value_of_bits)
+from cantornorm import (BasicSequence, CantorDigits, DyadicValue, Ints,
+                        cantor_digits, cantor_value, orbit, shift,
+                        value_of_bits)
 from cantornorm.cantor import orbit_low_counts
 from helpers import fraction_digits, fraction_orbit, fraction_series_value
 
@@ -227,6 +229,42 @@ def test_low_counts_match_fraction_orbit(b, exponents, data):
     assert orbit_low_counts(x, steps, checkpoints) == expected
     read = max(max(checkpoints, default=0) - 1, 0)
     assert list(steps) == exponents[read:]
+
+
+def exponent_sources(exponents):
+    """The same exponents as a tuple, a list, `Ints` over bytes and over
+    64-bit ints, and a one-shot iterator."""
+    return [tuple(exponents), list(exponents), Ints(bytes(exponents)),
+            Ints(array("q", exponents)), iter(exponents)]
+
+
+def test_low_counts_at_segment_edges():
+    """Unsorted and repeated checkpoints, checkpoint 0 and checkpoint
+    len(exponents) + 1, the last point, each get the `Fraction` orbit's
+    count, as ints, from every kind of exponent source."""
+    x, exponents = Fraction(5, 11), [1, 3, 2, 1, 1, 4, 2]
+    points = fraction_orbit(x, [2 ** s for s in exponents], len(exponents))
+    checkpoints = [8, 3, 0, 3, 1, 8, 5, 0, 2]
+    expected = [sum(y < Fraction(1, 2) for y in points[:c]) for c in checkpoints]
+    for source in exponent_sources(exponents):
+        counts = orbit_low_counts(x, source, checkpoints)
+        assert counts == expected
+        assert all(type(c) is int for c in counts)
+    for source in exponent_sources(exponents):
+        assert orbit_low_counts(x, source, []) == []
+        with pytest.raises(ValueError, match=r"\[0, exponents \+ 1\]"):
+            orbit_low_counts(x, source, [3, len(exponents) + 2])
+
+
+@given(b=st.integers(1, 2 ** 40),
+       exponents=st.lists(st.integers(1, 255), max_size=40), data=st.data())
+def test_low_counts_agree_across_exponent_sources(b, exponents, data):
+    x = Fraction(data.draw(st.integers(0, b - 1)), b)
+    checkpoints = data.draw(st.lists(st.integers(0, len(exponents) + 1),
+                                     max_size=8))
+    first, *rest = [orbit_low_counts(x, source, checkpoints)
+                    for source in exponent_sources(exponents)]
+    assert all(counts == first for counts in rest)
 
 
 @pytest.mark.parametrize("x, exponents, checkpoints", [

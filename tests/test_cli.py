@@ -426,6 +426,43 @@ class TestParsing:
         path = registry_file(ZERO_REGISTRY)
         assert cli.main(["build", "--registry", path, "--stages", "0"]) == 1
 
+    COMMANDS = ["build", "verify", "expand", "orbit", "discrepancy",
+                "champernowne"]
+
+    @staticmethod
+    def outcome(argv, capsys):
+        """What `cli.main(argv)` returns or exits with, and prints."""
+        try:
+            result = ("return", cli.main(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["frobnicate"], ["-", "verify"],
+        ["--", "verify"], ["--format", "csv", "verify"],
+        *([name, *rest] for name in COMMANDS
+          for rest in (["--help"], [], ["--bogus"], ["--format", "xml"],
+                       ["--registry"], ["1/3", "-1"]))])
+    def test_help_and_usage_errors_match_the_eager_parser(self, monkeypatch,
+                                                         capsys, argv):
+        """What the program returns and prints with only the invoked
+        command's arguments built is what it does with every command's."""
+        lazy = self.outcome(argv, capsys)
+        eager = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda commands: eager())
+        assert self.outcome(argv, capsys) == lazy
+        assert lazy[0] != ("return", 0)
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_only_the_invoked_command_gets_arguments(self, monkeypatch,
+                                                     capsys, name):
+        built = count_calls(monkeypatch, "_add_common", [cli])
+        with pytest.raises(SystemExit):
+            cli.main([name, "--help"])
+        assert len(built) == 1
+        assert capsys.readouterr().out.startswith(f"usage: cantornorm {name}")
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -4,16 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
-                        ConstantHalt, PeriodicBits, RationalBits, Registry,
-                        TableBits, basic_sequence_from, interval_frequency,
-                        limit_function, non_normality_report, orbit,
-                        star_discrepancy, witness_check)
+from cantornorm import (BasicSequence, ChampernowneBits, ConfigError,
+                        ConstantBits, ConstantHalt, Oracle, PeriodicBits,
+                        RationalBits, Registry, TableBits, basic_sequence_from,
+                        interval_frequency, limit_function,
+                        non_normality_report, orbit, star_discrepancy,
+                        witness_check)
+from cantornorm.cantor import orbit_low_counts
 from cantornorm.normality import (FrequencyReport, _common_denominator,
                                   dyadic_frequencies)
 
 from helpers import (brute_star_discrepancy, checkpoint_orbit_low,
-                     one_registry, random_halt, random_registry, zero_registry)
+                     fraction_orbit, gathered_low_count, one_registry,
+                     random_halt, random_registry, zero_registry)
 
 
 class TestIntervalFrequency:
@@ -233,6 +236,66 @@ class TestWitnessCheck:
         f = limit_function(reg, 26)
         for e in range(3):
             assert witness_check(reg, e, f).passed
+
+
+@given(seed=st.integers(0, 10 ** 9), max_position=st.integers(2, 80))
+@settings(max_examples=60, deadline=None)
+def test_mask_low_counts_match_the_gather(seed, max_position):
+    """On random registries, with tables and an oracle whose windows run past
+    their listed bits or prefix into the default bit, each witness's low
+    count by one mask AND equals the per-position gather, and the scan's
+    mask equals the one a copy builds from the values."""
+    rng = random.Random(seed)
+    oracle = Oracle(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 30))),
+                    rng.randint(0, 1))
+    entries = 4
+    reg = random_registry(rng, entries=entries, halt_cap=20, oracle=oracle,
+                          oracle_at=(rng.randrange(entries),),
+                          alias_at=(3,) if rng.random() < 0.3 else ())
+    f = limit_function(reg, max_position)
+    assert len(f.position_mask) == f.values[-1] + 1
+    assert f.position_mask == f._replace().position_mask
+    e = 0
+    while 3 ** (e + 1) - 1 <= max_position:
+        assert witness_check(reg, e, f).low_count == gathered_low_count(reg, e, f)
+        e += 1
+
+
+def test_wide_gap_takes_the_int64_fallback():
+    """A copy whose last gap passes a byte holds Q's exponents as 64-bit
+    ints; they, the bases, the mask, the witnesses and the cross-check counts
+    equal those computed from tuples, and the copy's witness reads its own
+    values, not the scan's mask."""
+    reg = Registry.assemble([(ConstantBits(0), ConstantHalt(0))] * 2
+                            + [(RationalBits(1, 3), ConstantHalt(0))])
+    f = limit_function(reg, 26)
+    assert "position_mask" in vars(f)  # the scan's
+    last = f.values[-1] + 301
+    wide = f._replace(values=f.values[:-1] + (last,))
+    assert "position_mask" not in vars(wide)
+    values = tuple(wide.values)
+    gaps = tuple(b - a for a, b in zip(values, values[1:]))
+    assert gaps[-1] >= 256 > max(gaps[:-1])
+    assert f.q_exponents.data.format == "B"
+    assert wide.q_exponents.data.format == "q"
+    assert wide.q_exponents == gaps
+    bases = tuple(2 ** s for s in gaps)
+    assert BasicSequence.from_exponents(wide.q_exponents).bases == bases
+    assert basic_sequence_from(wide, 26) == BasicSequence(bases)
+    kept = set(values)
+    assert wide.position_mask == bytes(p in kept for p in range(last + 1))
+    for e in range(3):
+        report = witness_check(reg, e, wide)
+        assert report.low_count == gathered_low_count(reg, e, wide)
+    # f(26) moved from an even position, bit 0 of 1/3, to an odd one, bit 1
+    assert (witness_check(reg, 2, wide).low_count
+            == witness_check(reg, 2, f).low_count - 1)
+    x = Fraction(1, 3)
+    points = fraction_orbit(x, bases, len(bases))
+    checkpoints = [1, 9, 27]
+    assert (orbit_low_counts(x, wide.q_exponents, checkpoints)
+            == orbit_low_counts(x, gaps, checkpoints)
+            == [sum(y < Fraction(1, 2) for y in points[:c]) for c in checkpoints])
 
 
 def rational_valued_generator(rng: random.Random):
