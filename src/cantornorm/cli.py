@@ -8,7 +8,6 @@ failure (which would signal a builder bug, never a valid state).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
@@ -36,6 +35,9 @@ EXPAND_FORMAT = "cantor-digits/1"
 ORBIT_FORMAT = "orbit/1"
 DISCREPANCY_FORMAT = "discrepancy/1"
 CHAMPERNOWNE_FORMAT = "digit-prefix/1"
+
+COMMANDS = ("build", "verify", "expand", "orbit", "discrepancy",
+            "champernowne")
 
 # Most values a `build --trace` may hold; each snapshot also scans fewer than
 # 6*(max_position+1) positions, so this bounds its evaluations as well. A
@@ -208,20 +210,19 @@ class _Line:
     write = str
 
 
-_csv_line = csv.writer(_Line, lineterminator="\n").writerow
-
-
 def _csv(rows: Iterable[Sequence]) -> Iterator[str]:
     """The CSV lines of `rows`, runs as in `_Table` that keep every entry,
     each as `csv.writer(lineterminator="\n")` writes it. A cell's CSV text
     does not depend on its neighbours, except that csv quotes a line's only
     field when it is empty: a run's cells are rendered beside an empty
     field, whose ",\n" is cut, and a one-field run's alone."""
+    import csv  # here, so that JSON output does not import it
+    line = csv.writer(_Line, lineterminator="\n").writerow
     return chain.from_iterable(
-        (_csv_line(run),) if all(type(v) in _SCALARS for v in run) else
+        (line(run),) if all(type(v) in _SCALARS for v in run) else
         _run("", [""] * len(run), run,
-             (lambda v: _csv_line((v, ""))[:-2]) if len(run) > 1 else
-             (lambda v: _csv_line((v,))[:-1]), "\n")
+             (lambda v: line((v, ""))[:-2]) if len(run) > 1 else
+             (lambda v: line((v,))[:-1]), "\n")
         for run in rows)
 
 
@@ -470,11 +471,10 @@ def _add_common(parser: argparse.ArgumentParser, registry: bool = True,
                         help="output file (default: stdout)")
 
 
-def _build_parser(commands: Container[str] | None = None) -> _Parser:
-    """The program's parser, with the arguments of the commands named in
-    `commands`, or of every command if it is None. Every command gets its
-    subparser, so that the program's help and its "invalid choice" error
-    name them all."""
+def _build_parser(commands: Container[str] = ()) -> _Parser:
+    """The program's parser, with the subparser of each command named in
+    `commands`, or, if that names none, of every command, so that the
+    program's help and its "invalid choice" error name them all."""
     parser = _Parser(prog="cantornorm",
                      description="Build power-of-two basic sequences by staged "
                                  "diagonalization against a program registry and "
@@ -483,9 +483,10 @@ def _build_parser(commands: Container[str] | None = None) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
+    built = [name for name in COMMANDS if name in commands] or COMMANDS
+
     def command(name: str, help_text: str) -> _Parser | None:
-        p = sub.add_parser(name, help=help_text)
-        return p if commands is None or name in commands else None
+        return sub.add_parser(name, help=help_text) if name in built else None
 
     if p := command("build", "emit the settled position table and the "
                              "derived base sequence"):
@@ -529,10 +530,7 @@ def _build_parser(commands: Container[str] | None = None) -> _Parser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the program takes no option but -h, so its first token that is not an
-    # option names the command, whose arguments alone are built
-    parser = _build_parser([next((a for a in argv if not a.startswith("-")),
-                                 None)])
+    parser = _build_parser(argv[:1])
     out_of_memory = False
     try:
         args = parser.parse_args(argv)

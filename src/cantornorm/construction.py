@@ -276,15 +276,14 @@ def verify_bound(f) -> BoundReport:
     broken, never a valid state."""
     values = f.values
     checks = []
-    first = None
-    t = 0
-    while 3 ** (t + 1) - 1 < len(values):
+    # the blocks t whose last position, 3**(t+1) - 1, has a value
+    for t in range(stages_covering(len(values)) - 1):
         end = 3 ** (t + 1) - 1
         end_value = values[end]
         step_bound = 4 * 3 ** t + values[3 ** t - 1]
         closed_bound = 2 * (3 ** (t + 1) - 1)
         next_start = values[end + 1] if end + 1 < len(values) else None
-        check = BoundCheck(
+        checks.append(BoundCheck(
             block=t,
             end_value=end_value,
             step_bound=step_bound,
@@ -294,9 +293,7 @@ def verify_bound(f) -> BoundReport:
             next_start=next_start,
             next_start_within_closed=(None if next_start is None
                                       else next_start <= closed_bound),
-        )
-        checks.append(check)
-        if first is None and not (check.within_step and check.within_closed):
-            first = t
-        t += 1
-    return BoundReport(tuple(checks), first is None, first)
+        ))
+    failed = [c.block for c in checks
+              if not (c.within_step and c.within_closed)]
+    return BoundReport(tuple(checks), not failed, failed[0] if failed else None)

@@ -186,9 +186,8 @@ def _sorted_table(items: Mapping[int, int] | Sequence[tuple[int, int]]
     table = tuple(sorted((int(p), int(v)) for p, v in pairs))
     if len({p for p, _ in table}) != len(table):
         raise ValueError("duplicate table position")
-    for p, _ in table:
-        if p < 0:
-            raise ValueError(f"position must be >= 0, got {p}")
+    if table and table[0][0] < 0:  # sorted, so the least position is first
+        raise ValueError(f"position must be >= 0, got {table[0][0]}")
     return table
 
 

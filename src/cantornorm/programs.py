@@ -305,11 +305,14 @@ def oracle_from_config(cfg) -> Oracle:
 
 def _read_input(p: Path, what: str) -> str:
     """The text of a `what` input, a regular file or a pipe; any other path,
-    or an unreadable or non-UTF-8 file, is a ConfigError."""
-    if not (p.is_file() or p.is_fifo()):
-        raise ConfigError(f"{what} file {p} is not a regular file or a pipe"
-                          if p.exists() else f"{what} file not found: {p}")
+    or an unreadable or non-UTF-8 file, is a ConfigError. A path that the OS
+    refuses even to look up, as too long or under a directory that cannot be
+    searched, is unreadable."""
     try:
+        if not (p.is_file() or p.is_fifo()):
+            raise ConfigError(
+                f"{what} file {p} is not a regular file or a pipe"
+                if p.exists() else f"{what} file not found: {p}")
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {p} is not UTF-8: {exc}") from None

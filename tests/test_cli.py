@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -463,6 +464,19 @@ class TestParsing:
         assert len(built) == 1
         assert capsys.readouterr().out.startswith(f"usage: cantornorm {name}")
 
+    @pytest.mark.parametrize("argv, subparsers", [
+        *(([name, "--help"], 1) for name in COMMANDS), (["--help"], 6)],
+        ids=[*COMMANDS, "program"])
+    def test_only_the_invoked_command_gets_a_subparser(self, monkeypatch,
+                                                       capsys, argv,
+                                                       subparsers):
+        built = count_calls(monkeypatch, "add_parser",
+                            [argparse._SubParsersAction])
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert len(built) == subparsers
+        assert capsys.readouterr().out.startswith("usage: cantornorm")
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -885,6 +899,20 @@ class TestInputFiles:
                          "--stages", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: registry file") and "not valid JSON" in err
+
+    @pytest.mark.parametrize("what", ["registry", "oracle"])
+    def test_path_the_os_refuses_is_one_error_line(self, tmp_path, capsys,
+                                                   what):
+        # a name past the file system's 255-byte limit cannot even be
+        # looked up: stat fails with ENAMETOOLONG
+        refused = str(tmp_path / ("a" * 300))
+        registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"
+        inputs = (["--registry", refused] if what == "registry" else
+                  ["--registry", str(registry), "--oracle", refused])
+        assert cli.main(["verify", *inputs, "--stages", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} file ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_utf8_oracle_file(self, tmp_path, capsys):
         registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"

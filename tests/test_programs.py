@@ -409,6 +409,14 @@ class TestOracleFile:
         with pytest.raises(ConfigError, match="cannot read oracle file"):
             load_oracle_file(path)
 
+    @pytest.mark.parametrize("load, what", [(load_oracle_file, "oracle"),
+                                            (Registry.from_file, "registry")])
+    def test_path_the_os_refuses_is_unreadable(self, tmp_path, load, what):
+        # a name past the file system's 255-byte limit cannot even be
+        # looked up: stat fails with ENAMETOOLONG, which pathlib re-raises
+        with pytest.raises(ConfigError, match=f"cannot read {what} file "):
+            load(tmp_path / ("a" * 300))
+
     @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
     def test_directory_is_not_reported_missing(self, tmp_path, load):
         with pytest.raises(ConfigError, match="not a regular file or a pipe"):

@@ -3,7 +3,8 @@ loading a registry imports only the registry layer (`errors`, `records`,
 `generators`, `programs`): not `dataclasses` with `inspect`, nor the
 Cantor-series, construction, normality or CLI code, which a registry load
 never calls and every start of the program would otherwise compile and run.
-A CLI command, too, imports neither `dataclasses` nor `typing`.
+A CLI command, too, imports neither `dataclasses` nor `typing`, and only
+CSV output imports `csv`.
 """
 
 import os
@@ -61,6 +62,21 @@ def test_cli_command_imports_no_dataclasses_or_typing():
     assert "cantornorm.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "dis", "ast", "tokenize",
                          "typing"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_csv_is_imported_only_for_csv_output(fmt):
+    (bare,) = fresh("import sys; print(*sys.modules)")
+    (after,) = fresh(
+        "import os, sys\n"
+        "from cantornorm import cli\n"
+        "assert cli.main(['champernowne', '2', '5', '--format', sys.argv[1],\n"
+        "                 '--out', os.devnull]) == 0\n"
+        "print(*sys.modules)", fmt)
+    loaded = set(after.split()) - set(bare.split())
+    assert "cantornorm.cli" in loaded
+    assert loaded & {"csv", "_csv"} == ({"csv", "_csv"} if fmt == "csv"
+                                        else set())
 
 
 def test_frozen_error_is_imported_when_a_record_is_written():
