@@ -15,9 +15,8 @@ from collections.abc import (Callable, Container, Iterable, Iterator,
                              Sequence)
 from contextlib import nullcontext
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 
 from .cantor import BasicSequence, Ints, _greedy, cantor_digits, cantor_value
 from .construction import (STAGE_LIMIT, basic_sequence_from, limit_function,
@@ -396,12 +395,16 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def _orbit_points(x: Fraction, q: BasicSequence,
                   steps: int) -> tuple[int, list[int], list[str]]:
     """b and the residues r of the orbit points r/b of x under the first
-    `steps` bases of q, as `cantor._greedy` walks them, and each point's text
-    p/q in lowest terms, from one gcd(r, b) and with b's decimal written once."""
+    `steps` bases of q, all powers of two, as `cantor._greedy` walks them,
+    and each point's text p/q in lowest terms, with b's decimal written once."""
     b, _, residues = _greedy(x, q, steps)
     over_b = f"/{b}"
+    # x = a/b in lowest terms and every base a power of two, so r = a * 2**S
+    # mod b shares no odd factor with b: gcd(r, b) is the lowest set bit of
+    # r | (b & -b), which is 1 for odd b, and b for r = 0, as then b = 2**v
+    low = b & -b
     texts = [str(r) + over_b if g == 1 else f"{r // g}/{b // g}"
-             for r, g in zip(residues, map(gcd, residues, repeat(b)))]
+             for r in residues for g in [(r | low) & -(r | low)]]
     return b, residues, texts
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from itertools import chain, count, islice, product
 
 from .errors import ConfigError
-from .records import Record, _as_word, value_of_bits
+from .records import Record, _as_word, exact, value_of_bits
 
 
 def champernowne_digit(base: int, index: int) -> int:
@@ -262,7 +261,7 @@ class ConstantBits(BitGenerator, Record):
         return bytes((self.bit,)) * (stop - start)
 
     def exact_value(self) -> Fraction:
-        return Fraction(self.bit)
+        return exact(self.bit)
 
     def ends_in_ones(self) -> bool:
         return self.bit == 1
@@ -287,7 +286,7 @@ class PeriodicBits(BitGenerator, Record):
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.pattern)
-        return Fraction(word.numerator, 2 ** word.exponent - 1)
+        return exact(word.numerator, 2 ** word.exponent - 1)
 
     def ends_in_ones(self) -> bool:
         return all(b == 1 for b in self.pattern)
@@ -323,7 +322,7 @@ class TableBits(BitGenerator, Record):
         for p, b in self.assignments:
             flips[p // 8] |= (b ^ d) << (7 - p % 8)
         word = int.from_bytes(flips, "big") >> (-n % 8)
-        return Fraction((1 << n) - word if d else word, 1 << n)
+        return exact((1 << n) - word if d else word, 1 << n)
 
     def ends_in_ones(self) -> bool:
         return self.default == 1
@@ -357,7 +356,7 @@ class RationalBits(BitGenerator, Record):
             _DIGIT_BYTES)
 
     def exact_value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
+        return exact(self.numerator, self.denominator)
 
     def ends_in_ones(self) -> bool:
         return False
@@ -393,7 +392,7 @@ class OracleBits(BitGenerator, Record):
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.oracle.prefix)
-        return Fraction(word.numerator + self.oracle.default, 2 ** word.exponent)
+        return exact(word.numerator + self.oracle.default, 2 ** word.exponent)
 
     def ends_in_ones(self) -> bool:
         return self.oracle.default == 1

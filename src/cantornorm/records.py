@@ -1,10 +1,12 @@
-"""The frozen-record base of the value types, and exact binary words: what the
-registry layer needs, without importing `dataclasses` or the Cantor series."""
+"""The frozen-record base of the value types, exact binary words, and the one
+constructor of their exact values: what the registry layer needs, without
+importing `dataclasses`, `fractions` or the Cantor series. `fractions`, with
+`decimal` and `numbers`, is imported when `exact` first builds a value,
+which a registry load never does."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 _MISSING = object()  # no default: a field whose class attribute is absent
 
@@ -81,6 +83,14 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def exact(numerator: int, denominator: int = 1) -> Fraction:
+    """`Fraction(numerator, denominator)`. `fractions`, which imports
+    `decimal` and `numbers`, is imported on the first call, so that a start
+    that builds no exact value, a registry load among them, never loads it."""
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
 def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
     word = tuple(bits)
     for b in word:
@@ -104,7 +114,7 @@ class DyadicValue(Record):
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 2 ** self.exponent)
+        return exact(self.numerator, 2 ** self.exponent)
 
 
 def value_of_bits(bits: Sequence[int]) -> DyadicValue:

@@ -15,11 +15,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cantornorm import (Registry, basic_sequence_from, block_of, cantor, cli,
-                        construction, limit_function, normality)
+from cantornorm import (BasicSequence, Registry, basic_sequence_from, block_of,
+                        cantor, cli, construction, limit_function, normality)
 from cantornorm.normality import WitnessReport
+from helpers import fraction_orbit
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
 
 ZERO_REGISTRY = {
     "format": "registry/1",
@@ -347,6 +350,58 @@ class TestOrbitCommand:
             ["orbit", "--registry", path, "1/3", "2"], capsys)
         assert code == 0
         assert payload["points"] == ["1/3", "2/3", "1/3"]
+
+
+def fraction_texts(x, bases, n):
+    """The orbit points' texts p/q as `Fraction` arithmetic writes them."""
+    return [f"{p.numerator}/{p.denominator}"
+            for p in fraction_orbit(x, bases, n)]
+
+
+class TestOrbitTexts:
+    """Each orbit point's text p/q in lowest terms, from its residue r over
+    b = 2**v * m (m odd), reduced by the lowest set bit of r | 2**v."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.integers(0, 70), m=st.integers(0, 2 ** 63 - 1),
+           a=st.integers(0, 2 ** 200),
+           exponents=st.lists(st.integers(1, 20), max_size=40))
+    @example(v=24, m=0, a=1234567, exponents=[5] * 12)  # reaches 0: "0/1"
+    @example(v=20, m=1, a=1234567, exponents=[5] * 12)  # ends at 1/3, 2/3
+    @example(v=0, m=0, a=0, exponents=[1, 20])          # x = 0
+    @example(v=5, m=40, a=0, exponents=[3, 7])          # numerator 0
+    def test_texts_match_the_fraction_orbit(self, v, m, a, exponents):
+        b, n = 2 ** v * (2 * m + 1), len(exponents)
+        x = Fraction(a % b, b)
+        q = BasicSequence.from_exponents(exponents)
+        rb, residues, texts = cli._orbit_points(x, q, n)
+        assert (rb, len(residues)) == (x.denominator, n + 1)
+        assert texts == fraction_texts(x, [2 ** s for s in exponents], n)
+
+    @pytest.mark.parametrize("command", ["orbit", "discrepancy"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("x", ["1234567/16777216", "1234567/3145728"])
+    def test_even_denominator_points(self, capsys, command, fmt, x):
+        # 2**24: the residues reach 0; 3 * 2**20: the points end at 1/3, 2/3
+        registry = str(INPUTS / "cheap_registry.json")
+        count = 100
+        code = cli.main([command, "--registry", registry, "--format", fmt,
+                         x, str(count)])
+        out = capsys.readouterr().out
+        assert code == 0
+        steps = count if command == "orbit" else count - 1
+        q = basic_sequence_from(limit_function(Registry.from_file(registry),
+                                               steps), steps)
+        expected = fraction_texts(Fraction(x), q.bases, steps)
+        if fmt == "json":
+            points = json.loads(out)["points"]
+        else:
+            rows = list(csv.reader(out.splitlines()[2:]))
+            points = [row[-1] for row in rows
+                      if command == "orbit" or row[0] == "point"]
+        assert points == expected
+        assert set(expected[-20:]) <= ({"0/1"} if x.endswith("16777216")
+                                       else {"1/3", "2/3"})
 
 
 class TestDiscrepancy:

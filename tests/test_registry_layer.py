@@ -2,24 +2,28 @@
 loading a registry imports only the registry layer (`errors`, `records`,
 `generators`, `programs`): not `dataclasses` with `inspect`, nor the
 Cantor-series, construction, normality or CLI code, which a registry load
-never calls and every start of the program would otherwise compile and run.
-A CLI command, too, imports neither `dataclasses` nor `typing`, and only
-CSV output imports `csv`.
+never calls and every start of the program would otherwise compile and run,
+nor `fractions` with `decimal` and `numbers`, which only an exact value
+needs, and a load builds none. A CLI command, too, imports neither
+`dataclasses` nor `typing`, and only CSV output imports `csv`.
 """
 
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cantornorm
+from cantornorm import (ConstantBits, Oracle, OracleBits, Registry,
+                        TableBits)
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
 NOT_LOADED = {"dataclasses", "inspect", "cantornorm.cantor",
               "cantornorm.construction", "cantornorm.normality",
-              "cantornorm.cli"}
+              "cantornorm.cli", "fractions", "decimal", "_decimal", "numbers"}
 
 
 def fresh(code: str, *args: str) -> list[str]:
@@ -45,6 +49,62 @@ def test_registry_load_imports_only_the_registry_layer():
     loaded = set(after.split()) - set(bare.split())
     assert {"cantornorm.programs", "cantornorm.records"} <= loaded
     assert not loaded & NOT_LOADED
+
+
+def expected_value(generator):
+    """`generator.exact_value()` as a `Fraction` built from its fields."""
+    def word(bits):
+        return int("".join(map(str, bits)) or "0", 2)
+    kind = generator.kind
+    if kind == "constant":
+        return Fraction(generator.bit)
+    if kind == "periodic":
+        return Fraction(word(generator.pattern), 2 ** len(generator.pattern) - 1)
+    if kind == "rational":
+        return Fraction(generator.numerator, generator.denominator)
+    if kind == "champernowne":
+        return None
+    # the bits through the last listed one, then the default d forever
+    if kind == "table":
+        n = max((p + 1 for p, _ in generator.assignments), default=0)
+        d = generator.default
+    else:
+        n, d = len(generator.oracle.prefix), generator.oracle.default
+    return Fraction(word(generator.prefix(n)) + d, 2 ** n)
+
+
+def test_exact_values_after_a_registry_load_are_fractions():
+    # `fractions` comes in with the first exact value built, not before
+    code = (
+        "import sys\n"
+        "import cantornorm\n"
+        "from cantornorm.generators import (ConstantBits, Oracle, OracleBits,\n"
+        "                                   TableBits)\n"
+        "from cantornorm.records import DyadicValue\n"
+        "registry = cantornorm.Registry.from_file(sys.argv[1],\n"
+        "                                         oracle_path=sys.argv[2])\n"
+        "print('fractions' in sys.modules)\n"
+        "values = [e.generator.exact_value() for e in registry.entries]\n"
+        "values += [g.exact_value() for g in (ConstantBits(0),\n"
+        "           TableBits({2: 0, 5: 0}, 1), TableBits(),\n"
+        "           OracleBits(Oracle((1, 0, 1), 1)), OracleBits(Oracle()))]\n"
+        "values += [DyadicValue(*v).fraction for v in ((3, 4), (4, 4), (0, 0))]\n"
+        "from fractions import Fraction\n"
+        "for value in values:\n"
+        "    print(value is None or type(value) is Fraction, value)")
+    registry = Registry.from_file(INPUTS / "deep_registry.json",
+                                  oracle_path=INPUTS / "deep_oracle.txt")
+    generators = [e.generator for e in registry.entries] + [
+        ConstantBits(0), TableBits({2: 0, 5: 0}, 1), TableBits(),
+        OracleBits(Oracle((1, 0, 1), 1)), OracleBits(Oracle())]
+    expected = [*map(expected_value, generators),
+                Fraction(3, 16), Fraction(1, 4), Fraction(0)]
+    assert {g.kind for g in generators} == {
+        "constant", "periodic", "table", "rational", "champernowne",
+        "oracle-bit"}
+    lines = fresh(code, str(INPUTS / "deep_registry.json"),
+                  str(INPUTS / "deep_oracle.txt"))
+    assert lines == ["False"] + [f"True {v}" for v in expected]
 
 
 def test_cli_command_imports_no_dataclasses_or_typing():
