@@ -13,8 +13,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
 
-from .records import (DyadicValue, Record, _as_word, shift,  # noqa: F401
-                      value_of_bits)
+from .records import (DyadicValue, Record, _as_word, exact,  # noqa: F401
+                      shift, value_of_bits)
 
 
 class Ints(Sequence):
@@ -168,7 +168,8 @@ def cantor_value(d: CantorDigits) -> Fraction:
     """Exact value of the finite series sum of a_n / (q_0 q_1 ... q_n), as
     one fraction N/D built on integers by binary splitting, so that products
     stay balanced: runs (N1, D1), (N2, D2) join as (N1 D2 + N2, D1 D2), and
-    a run of up to 32 terms takes N <- N q_n + a_n, D <- D q_n."""
+    a run of up to 32 terms takes N <- N q_n + a_n, D <- D q_n. `exact`
+    reduces N/D, by a shift rather than a `gcd` when D is a power of two."""
     def split(lo: int, hi: int) -> tuple[int, int]:
         if hi - lo > 32:
             mid = (lo + hi) // 2
@@ -179,7 +180,7 @@ def cantor_value(d: CantorDigits) -> Fraction:
             numerator = numerator * q + a
             denominator *= q
         return numerator, denominator
-    return Fraction(*split(0, len(d.digits)))
+    return exact(*split(0, len(d.digits)))
 
 
 def orbit(x, q, n: int) -> list[Fraction]:

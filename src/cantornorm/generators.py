@@ -14,7 +14,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, count, islice, product
 
 from .errors import ConfigError
-from .records import Record, _as_word, exact, value_of_bits
+from .records import (_BITS_TO_TEXT, _TEXT_TO_BITS, Record, _as_word, exact,
+                      value_of_bits)
 
 
 def champernowne_digit(base: int, index: int) -> int:
@@ -105,7 +106,7 @@ def _config_word(cfg: Mapping, key: str, default: str | None) -> tuple[int, ...]
     text = cfg.get(key, default)
     if not isinstance(text, str) or set(text) - {"0", "1"}:
         raise ConfigError(f"{key!r} must be a string of 0/1, got {text!r}")
-    return tuple(int(c) for c in text)
+    return tuple(text.encode().translate(_TEXT_TO_BITS))
 
 
 def _config_table(cfg: Mapping, key: str, default: Mapping) -> dict[int, int]:
@@ -125,7 +126,7 @@ def _config_table(cfg: Mapping, key: str, default: Mapping) -> dict[int, int]:
 
 # each reader's inverse, from an attribute value to its registry/1 value
 _WRITERS = {_config_int: int, _config_bit: int,
-            _config_word: lambda word: "".join(map(str, word)),
+            _config_word: lambda word: bytes(word).translate(_BITS_TO_TEXT).decode(),
             _config_table: lambda table: {str(p): v for p, v in table}}
 
 
@@ -199,9 +200,6 @@ def _table_window(table: tuple[tuple[int, int], ...], default: int,
     for p, v in table[bisect_left(table, (start,)):bisect_left(table, (stop,))]:
         out[p - start] = value(v)
     return bytes(out)
-
-
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits as 0/1 bytes
 
 
 def _check_position(position: int) -> int:
@@ -289,7 +287,7 @@ class PeriodicBits(BitGenerator, Record):
         return exact(word.numerator, 2 ** word.exponent - 1)
 
     def ends_in_ones(self) -> bool:
-        return all(b == 1 for b in self.pattern)
+        return 0 not in self.pattern
 
 
 class TableBits(BitGenerator, Record):
@@ -353,7 +351,7 @@ class RationalBits(BitGenerator, Record):
         b = self.denominator
         r = self.numerator * pow(2, start, b) % b
         return format((r << width) // b, f"0{width}b").encode().translate(
-            _DIGIT_BYTES)
+            _TEXT_TO_BITS)
 
     def exact_value(self) -> Fraction:
         return exact(self.numerator, self.denominator)

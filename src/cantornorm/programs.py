@@ -20,7 +20,7 @@ from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
                          _check_position, _config_int, _config_table, _named,
                          _read_fields, _sorted_table, _table_window,
                          _write_fields, generator_from_config)
-from .records import Record
+from .records import _TEXT_TO_BITS, Record
 
 REGISTRY_FORMAT = "registry/1"
 
@@ -326,7 +326,7 @@ def load_oracle_file(path) -> Oracle:
     are concatenated into the prefix, '#' lines are comments, and an optional
     'default=<0|1>' line fixes the bit beyond the prefix (0 if absent)."""
     p = Path(path)
-    prefix: list[int] = []
+    runs: list[str] = []
     default = 0
     for lineno, line in enumerate(_read_input(p, "oracle").splitlines(),
                                   start=1):
@@ -339,10 +339,9 @@ def load_oracle_file(path) -> Oracle:
                 raise ConfigError(f"{p}:{lineno}: default must be 0 or 1")
             default = int(value)
             continue
-        for ch in text:
-            if ch in " \t":
-                continue
-            if ch not in "01":
-                raise ConfigError(f"{p}:{lineno}: unexpected character {ch!r}")
-            prefix.append(int(ch))
-    return Oracle(tuple(prefix), default)
+        run = text.replace(" ", "").replace("\t", "")
+        # what is left after the leading 0/1s starts at the first bad character
+        if bad := run.lstrip("01")[:1]:
+            raise ConfigError(f"{p}:{lineno}: unexpected character {bad!r}")
+        runs.append(run)
+    return Oracle(tuple("".join(runs).encode().translate(_TEXT_TO_BITS)), default)

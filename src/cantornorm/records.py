@@ -2,13 +2,21 @@
 constructor of their exact values: what the registry layer needs, without
 importing `dataclasses`, `fractions` or the Cantor series. `fractions`, with
 `decimal` and `numbers`, is imported when `exact` first builds a value,
-which a registry load never does."""
+which a registry load never does.
+
+A binary word is a tuple of 0/1 ints, and this module alone knows how it is
+written: as text, one character "0" or "1" per bit, and as bytes, one byte
+0 or 1 per bit. `_TEXT_TO_BITS` and `_BITS_TO_TEXT` translate between the
+two in one C-level pass, so no conversion of a word loops over its bits in
+Python."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 _MISSING = object()  # no default: a field whose class attribute is absent
+_TEXT_TO_BITS = bytes.maketrans(b"01", b"\0\1")  # 0/1 text to 0/1 bytes
+_BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to 0/1 text
 
 
 class Record:
@@ -84,18 +92,32 @@ class Record:
 
 
 def exact(numerator: int, denominator: int = 1) -> Fraction:
-    """`Fraction(numerator, denominator)`. `fractions`, which imports
-    `decimal` and `numbers`, is imported on the first call, so that a start
-    that builds no exact value, a registry load among them, never loads it."""
+    """`Fraction(numerator, denominator)`, reduced without `math.gcd` when
+    the numerator is positive and the denominator a power of two. `fractions`,
+    which imports `decimal` and `numbers`, is imported on the first call, so
+    that a start that builds no exact value, a registry load among them,
+    never loads it."""
     from fractions import Fraction
+    if numerator > 0 and denominator > 0 and not denominator & (denominator - 1):
+        # a dyadic value is in lowest terms once both sides are shifted right
+        # by their shared power of two, the lesser of the numerator's lowest
+        # set bit and the denominator. The pair is then built as `fractions`
+        # builds one it knows is coprime (3.12's `_from_coprime_ints`),
+        # without the constructor's `math.gcd`, quadratic in the bit length
+        zeros = min(numerator & -numerator, denominator).bit_length() - 1
+        value = object.__new__(Fraction)
+        value._numerator = numerator >> zeros
+        value._denominator = denominator >> zeros
+        return value
     return Fraction(numerator, denominator)
 
 
 def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
+    """`bits` as a tuple, each item equal to 0 or 1."""
     word = tuple(bits)
-    for b in word:
-        if b not in (0, 1):
-            raise ValueError(f"bit out of range: {b!r}")
+    if word.count(0) + word.count(1) != len(word):
+        bad = next(b for b in word if b not in (0, 1))
+        raise ValueError(f"bit out of range: {bad!r}")
     return word
 
 
@@ -120,7 +142,7 @@ class DyadicValue(Record):
 def value_of_bits(bits: Sequence[int]) -> DyadicValue:
     """Value of a finite word w as the sum of w(n) / 2**(n+1)."""
     word = _as_word(bits)
-    return DyadicValue(int("0" + "".join(["01"[b] for b in word]), 2), len(word))
+    return DyadicValue(int(b"0" + bytes(word).translate(_BITS_TO_TEXT), 2), len(word))
 
 
 def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
-from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
-                        LinearHalt, Oracle, OracleBits, PeriodicBits,
-                        RationalBits, Registry, TableBits, TableHalt,
-                        basic_sequence_from, champernowne_digit,
+from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
+                        ConstantHalt, LinearHalt, Oracle, OracleBits,
+                        PeriodicBits, RationalBits, Registry, TableBits,
+                        TableHalt, basic_sequence_from, champernowne_digit,
                         interval_frequency, orbit)
 
 
@@ -241,3 +242,29 @@ def fraction_sum_value(pairs, default: int) -> Fraction:
     for p, b in pairs:
         value += Fraction(b - default, 2 ** (p + 1))
     return value
+
+
+def reference_oracle_file(path) -> Oracle:
+    """`load_oracle_file` one character at a time: each line stripped, a
+    blank or '#' line skipped, a 'default=' line read, and on any other line
+    each character kept as a bit, passed over as a space or tab, or refused
+    as the first bad one."""
+    prefix, default = [], 0
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if text.startswith("default="):
+            value = text[len("default="):].strip()
+            if value not in ("0", "1"):
+                raise ConfigError(f"{path}:{lineno}: default must be 0 or 1")
+            default = int(value)
+            continue
+        for ch in text:
+            if ch in ("0", "1"):
+                prefix.append(int(ch))
+            elif ch not in (" ", "\t"):
+                raise ConfigError(
+                    f"{path}:{lineno}: unexpected character {ch!r}")
+    return Oracle(tuple(prefix), default)

@@ -1,0 +1,113 @@
+"""Binary words and exact values as `records` builds them: `exact` gives the
+`Fraction` that the constructor would, and reduces a dyadic value without
+`math.gcd`; `_as_word` accepts 0/1 items, bools among them, and names the
+first item that is not one; an oracle file reads as a parser that takes one
+character at a time reads it."""
+
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from cantornorm import ConfigError, Oracle, OracleBits, load_oracle_file
+from cantornorm.records import _as_word, exact
+
+from helpers import reference_oracle_file
+
+
+def same_fraction(value, expected: Fraction) -> None:
+    """`value` is `expected` in every way a caller can see."""
+    assert type(value) is Fraction
+    assert value == expected
+    assert (value.numerator, value.denominator) == (expected.numerator,
+                                                    expected.denominator)
+    assert type(value.numerator) is int and type(value.denominator) is int
+    assert hash(value) == hash(expected)
+    assert str(value) == str(expected) and repr(value) == repr(expected)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is Fraction and copy == expected
+    assert (copy.numerator, copy.denominator) == (expected.numerator,
+                                                  expected.denominator)
+
+
+@given(st.integers(0, 400).flatmap(
+    lambda k: st.tuples(st.integers(0, 2 ** k), st.just(k))))
+def test_dyadic_exact_is_the_constructors_fraction(pair):
+    numerator, k = pair
+    same_fraction(exact(numerator, 2 ** k), Fraction(numerator, 2 ** k))
+
+
+@given(st.integers(0, 10 ** 30),
+       st.integers(1, 10 ** 30).map(lambda d: 2 * d + 1))
+def test_odd_denominator_exact_is_the_constructors_fraction(numerator,
+                                                            denominator):
+    same_fraction(exact(numerator, denominator),
+                  Fraction(numerator, denominator))
+
+
+@pytest.mark.parametrize("word, default", [
+    ((1,), 0), ((0, 1, 1, 0, 0), 0), ((1, 1, 1), 1), ((), 1), ((0, 0), 1)])
+def test_dyadic_values_need_no_gcd(monkeypatch, word, default):
+    # the constructor's gcd is quadratic in the bit length: a 2,000,000-bit
+    # odd numerator took 4.4 s in it, so a dyadic value never goes through it
+    expected = Fraction(int("0" + "".join(map(str, word)), 2) + default,
+                        2 ** len(word))
+
+    def refuse(*args):
+        raise AssertionError("math.gcd called")
+    monkeypatch.setattr("math.gcd", refuse)
+    for numerator, denominator, lowest in [(12, 2 ** 5, (3, 8)),
+                                           (48, 4, (12, 1)), (7, 1, (7, 1))]:
+        value = exact(numerator, denominator)
+        assert (value.numerator, value.denominator) == lowest
+    value = OracleBits(Oracle(word, default)).exact_value()
+    assert (value.numerator, value.denominator) == (expected.numerator,
+                                                    expected.denominator)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 5, "1", "a", None])
+def test_as_word_names_the_first_bad_item(bad):
+    with pytest.raises(ValueError) as refused:
+        _as_word((0, True, 1, bad, 7, "b", None))
+    assert str(refused.value) == f"bit out of range: {bad!r}"
+
+
+def test_as_word_accepts_bools():
+    word = _as_word(iter([True, False, 1, 0]))
+    assert word == (True, False, 1, 0) and type(word) is tuple
+    assert _as_word(()) == ()
+
+
+def random_oracle_text(rng: random.Random) -> str:
+    """Lines of 0/1 runs among spaces and tabs, blank, comment and
+    'default=' lines, and at most one bad character, in a run, a blank line
+    or after a default."""
+    def run():
+        return "".join(rng.choices("0011 \t", k=rng.randint(0, 12)))
+    makers = [run, run, run, lambda: rng.choice(["", " ", "\t \t"]),
+              lambda: rng.choice(["#", " # "]) + run() + "x",
+              lambda: "default=" + rng.choice(["0", "1", " 1 ", "\t0"])]
+    lines = [rng.choice(makers)() for _ in range(rng.randint(0, 12))]
+    if lines and rng.random() < 0.6:
+        i = rng.randrange(len(lines))
+        at = rng.randint(0, len(lines[i]))
+        bad = rng.choice("x2.-\u00a0\u00e9\r\x0b")
+        lines[i] = lines[i][:at] + bad + lines[i][at:]
+    return rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+
+
+def test_oracle_file_matches_a_per_character_parser(tmp_path):
+    path = tmp_path / "oracle.txt"
+    for seed in range(600):
+        path.write_text(random_oracle_text(random.Random(seed)),
+                        encoding="utf-8", newline="")
+        try:
+            expected = reference_oracle_file(path)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as refused:
+                load_oracle_file(path)
+            assert str(refused.value) == str(exc), seed
+        else:
+            assert load_oracle_file(path) == expected, seed
