@@ -27,7 +27,7 @@ from operator import sub
 from .cantor import BasicSequence, Ints
 from .errors import ConfigError, ResourceLimitError
 from .programs import Registry
-from .records import Record
+from .records import _FLIP_BITS, Record
 
 
 class BlockChoice(Record):
@@ -162,7 +162,7 @@ def _run_stages(registry: Registry, stages: int, budget: int
         bits = registry.eval_window(t, budget, window)
         chosen_bit = 0 if bits.count(0) >= quota else 1
         if chosen_bit == 0:  # flip the bytes, so that 1 marks the kept
-            bits = bits.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+            bits = bits.translate(_FLIP_BITS)
         values.extend(islice(compress(window, bits), quota))
         mask += bits[:values[-1] - cut]
         chosen_bits.append(chosen_bit)

@@ -101,12 +101,12 @@ def _config_bit(cfg: Mapping, key: str, default: int | None = None) -> int:
     return value
 
 
-def _config_word(cfg: Mapping, key: str, default: str | None) -> tuple[int, ...]:
+def _config_word(cfg: Mapping, key: str, default: str | None) -> bytes:
     """A bit word written as a string of 0/1 characters."""
     text = cfg.get(key, default)
     if not isinstance(text, str) or set(text) - {"0", "1"}:
         raise ConfigError(f"{key!r} must be a string of 0/1, got {text!r}")
-    return tuple(text.encode().translate(_TEXT_TO_BITS))
+    return text.encode().translate(_TEXT_TO_BITS)
 
 
 def _config_table(cfg: Mapping, key: str, default: Mapping) -> dict[int, int]:
@@ -126,7 +126,7 @@ def _config_table(cfg: Mapping, key: str, default: Mapping) -> dict[int, int]:
 
 # each reader's inverse, from an attribute value to its registry/1 value
 _WRITERS = {_config_int: int, _config_bit: int,
-            _config_word: lambda word: bytes(word).translate(_BITS_TO_TEXT).decode(),
+            _config_word: lambda word: word.translate(_BITS_TO_TEXT).decode(),
             _config_table: lambda table: {str(p): v for p, v in table}}
 
 
@@ -163,9 +163,11 @@ def _named(classes: Mapping, name, what: str):
 
 
 class Oracle(Record):
-    """Infinite bit source: an explicit finite prefix, one default bit beyond."""
+    """Infinite bit source: an explicit finite prefix, one default bit beyond.
+    The prefix is held as 0/1 bytes, whatever sequence of bits it was given
+    as."""
 
-    prefix: tuple[int, ...] = ()
+    prefix: bytes = b""
     default: int = 0
     _fields = (("prefix", "prefix", _config_word, ""),
                ("default", "default", _config_bit, 0))
@@ -266,7 +268,9 @@ class ConstantBits(BitGenerator, Record):
 
 
 class PeriodicBits(BitGenerator, Record):
-    pattern: tuple[int, ...]
+    """The pattern, held as 0/1 bytes, repeated forever."""
+
+    pattern: bytes
     kind = "periodic"
     _fields = (("pattern", "pattern", _config_word, None),)
     bit_at = BitGenerator.bit_at
@@ -279,7 +283,7 @@ class PeriodicBits(BitGenerator, Record):
     def window(self, start: int, stop: int) -> bytes:
         # the pattern rotated to `start`, repeated past `stop` and cut there
         k, width = start % len(self.pattern), stop - start
-        rotated = bytes(self.pattern[k:] + self.pattern[:k])
+        rotated = self.pattern[k:] + self.pattern[:k]
         return (rotated * (width // len(rotated) + 1))[:max(width, 0)]
 
     def exact_value(self) -> Fraction:
@@ -384,9 +388,8 @@ class OracleBits(BitGenerator, Record):
     bit_at = BitGenerator.bit_at
 
     def window(self, start: int, stop: int) -> bytes:
-        prefix, default = self.oracle.prefix, self.oracle.default
-        return (bytes(prefix[start:stop])
-                + bytes((default,)) * (stop - max(start, len(prefix))))
+        prefix, default = self.oracle.prefix, bytes((self.oracle.default,))
+        return prefix[start:stop] + default * (stop - max(start, len(prefix)))
 
     def exact_value(self) -> Fraction:
         word = value_of_bits(self.oracle.prefix)

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
                          _check_position, _config_int, _config_table, _named,
                          _read_fields, _sorted_table, _table_window,
@@ -23,6 +23,10 @@ from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
 from .records import _TEXT_TO_BITS, Record
 
 REGISTRY_FORMAT = "registry/1"
+# Most characters read from a registry or oracle file. A longer file is
+# refused after one bounded read, before any parsing; at the cap a load
+# takes seconds and a few hundred MB, as README "Oracle bit-prefix file" says.
+INPUT_LIMIT = 2 ** 24
 
 
 class HaltRule(ABC):
@@ -307,18 +311,24 @@ def _read_input(p: Path, what: str) -> str:
     """The text of a `what` input, a regular file or a pipe; any other path,
     or an unreadable or non-UTF-8 file, is a ConfigError. A path that the OS
     refuses even to look up, as too long or under a directory that cannot be
-    searched, is unreadable."""
+    searched, is unreadable. A file of more than INPUT_LIMIT characters is a
+    ResourceLimitError, found by one read of at most one character more."""
     try:
         if not (p.is_file() or p.is_fifo()):
             raise ConfigError(
                 f"{what} file {p} is not a regular file or a pipe"
                 if p.exists() else f"{what} file not found: {p}")
-        return p.read_text(encoding="utf-8")
+        with p.open(encoding="utf-8") as file:
+            text = file.read(INPUT_LIMIT + 1)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} file {p} is not UTF-8: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {p}: "
                           f"{exc.strerror or exc}") from None
+    if len(text) > INPUT_LIMIT:
+        raise ResourceLimitError(
+            f"{what} file {p} holds more than {INPUT_LIMIT} characters")
+    return text
 
 
 def load_oracle_file(path) -> Oracle:
@@ -344,4 +354,4 @@ def load_oracle_file(path) -> Oracle:
         if bad := run.lstrip("01")[:1]:
             raise ConfigError(f"{p}:{lineno}: unexpected character {bad!r}")
         runs.append(run)
-    return Oracle(tuple("".join(runs).encode().translate(_TEXT_TO_BITS)), default)
+    return Oracle("".join(runs).encode().translate(_TEXT_TO_BITS), default)

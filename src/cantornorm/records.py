@@ -4,11 +4,12 @@ importing `dataclasses`, `fractions` or the Cantor series. `fractions`, with
 `decimal` and `numbers`, is imported when `exact` first builds a value,
 which a registry load never does.
 
-A binary word is a tuple of 0/1 ints, and this module alone knows how it is
-written: as text, one character "0" or "1" per bit, and as bytes, one byte
-0 or 1 per bit. `_TEXT_TO_BITS` and `_BITS_TO_TEXT` translate between the
-two in one C-level pass, so no conversion of a word loops over its bits in
-Python."""
+A binary word is held as bytes, one byte 0 or 1 per bit, the format of every
+generator window and halting mask, and this module alone knows how it is
+written as text, one character "0" or "1" per bit. `_TEXT_TO_BITS` and
+`_BITS_TO_TEXT` translate between the two, and `_FLIP_BITS` swaps a word's
+0s and 1s, each in one C-level pass, so no conversion of a word loops over
+its bits in Python."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from collections.abc import Sequence
 _MISSING = object()  # no default: a field whose class attribute is absent
 _TEXT_TO_BITS = bytes.maketrans(b"01", b"\0\1")  # 0/1 text to 0/1 bytes
 _BITS_TO_TEXT = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to 0/1 text
+_FLIP_BITS = bytes.maketrans(b"\0\1", b"\1\0")  # 0/1 bytes, each bit flipped
 
 
 class Record:
@@ -112,13 +114,15 @@ def exact(numerator: int, denominator: int = 1) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _as_word(bits: Sequence[int]) -> tuple[int, ...]:
-    """`bits` as a tuple, each item equal to 0 or 1."""
-    word = tuple(bits)
+def _as_word(bits: Sequence[int]) -> bytes:
+    """`bits` as 0/1 bytes, each item equal to 0 or 1: `bits` itself when
+    it is bytes, else its items, bools among them, each as one byte. An item
+    that equals 0 or 1 but is no int, as 1.0 is, is refused by `bytes`."""
+    word = bits if isinstance(bits, bytes) else tuple(bits)
     if word.count(0) + word.count(1) != len(word):
         bad = next(b for b in word if b not in (0, 1))
         raise ValueError(f"bit out of range: {bad!r}")
-    return word
+    return bytes(word)
 
 
 class DyadicValue(Record):
@@ -142,7 +146,7 @@ class DyadicValue(Record):
 def value_of_bits(bits: Sequence[int]) -> DyadicValue:
     """Value of a finite word w as the sum of w(n) / 2**(n+1)."""
     word = _as_word(bits)
-    return DyadicValue(int(b"0" + bytes(word).translate(_BITS_TO_TEXT), 2), len(word))
+    return DyadicValue(int(b"0" + word.translate(_BITS_TO_TEXT), 2), len(word))
 
 
 def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:
@@ -150,4 +154,4 @@ def shift(bits: Sequence[int], n: int) -> tuple[int, ...]:
     word = _as_word(bits)
     if not 0 <= n <= len(word):
         raise ValueError(f"cannot drop {n} bits from a word of length {len(word)}")
-    return word[n:]
+    return tuple(word[n:])

@@ -20,6 +20,12 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         interval_frequency, orbit)
 
 
+# the forms in which a caller may give a bit word, each a map from a list of
+# 0/1 ints; every one of them builds the same generator
+WORD_FORMS = {"tuple": tuple, "list": list, "iterator": iter,
+              "bools": lambda word: tuple(map(bool, word)), "bytes": bytes}
+
+
 def zero_registry(n: int) -> Registry:
     return Registry.assemble([(ConstantBits(0), ConstantHalt(0))] * n)
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantornorm import (BasicSequence, Registry, basic_sequence_from, block_of,
-                        cantor, cli, construction, limit_function, normality)
+                        cantor, cli, construction, limit_function, normality,
+                        programs)
 from cantornorm.normality import WitnessReport
 from helpers import fraction_orbit
 
@@ -968,6 +969,26 @@ class TestInputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {what} file ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["registry", "oracle"])
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_input_file_of_more_than_the_limit_is_refused(
+            self, tmp_path, monkeypatch, capsys, what, extra, code):
+        limit = 300
+        monkeypatch.setattr(programs, "INPUT_LIMIT", limit)
+        registry, oracle = tmp_path / "registry.json", tmp_path / "oracle.txt"
+        registry.write_text(json.dumps(ORACLE_REGISTRY))
+        oracle.write_text("1\n")
+        sized = registry if what == "registry" else oracle
+        # padded with spaces before its last newline to the size wanted
+        sized.write_text(sized.read_text().rstrip("\n").ljust(limit + extra - 1)
+                         + "\n")
+        assert len(sized.read_text()) == limit + extra
+        assert cli.main(["build", "--registry", str(registry), "--oracle",
+                         str(oracle), "--stages", "2"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: {what} file {sized} "
+                       f"holds more than {limit} characters\n")
 
     def test_non_utf8_oracle_file(self, tmp_path, capsys):
         registry = Path(__file__).resolve().parent.parent / "configs" / "demo_registry.json"

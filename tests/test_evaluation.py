@@ -15,9 +15,11 @@ from cantornorm import (ChampernowneBits, ConstantBits, ConstantHalt,
                         RationalBits, Registry, TableBits, TableHalt,
                         champernowne_digit)
 
-from helpers import random_registry, reference_bit, reference_steps
+from helpers import (WORD_FORMS, random_registry, reference_bit,
+                     reference_steps)
 
 BITS = st.integers(0, 1)
+WORD_FORM = st.sampled_from(list(WORD_FORMS.values()))
 # small gaps walk contiguous runs and repeat positions; large ones jump
 GAPS = st.one_of(st.integers(0, 3), st.integers(0, 10 ** 6))
 
@@ -187,8 +189,8 @@ def generator_windows(draw):
     if kind == "constant":
         generator = ConstantBits(draw(BITS))
     elif kind == "periodic":
-        generator = PeriodicBits(tuple(draw(st.lists(BITS, min_size=1,
-                                                     max_size=8))))
+        generator = PeriodicBits(draw(WORD_FORM)(draw(st.lists(
+            BITS, min_size=1, max_size=8))))
     elif kind == "table":
         # windows that straddle listed entries, each entry up to 70 past start
         keys = st.integers(0, 300)
@@ -205,8 +207,8 @@ def generator_windows(draw):
         generator = ChampernowneBits()
         start = draw(st.one_of(STARTS, champernowne_boundaries()))
     else:
-        prefix = tuple(draw(st.lists(BITS, max_size=64)))
-        generator = OracleBits(Oracle(prefix, draw(BITS)))
+        prefix = draw(st.lists(BITS, max_size=64))
+        generator = OracleBits(Oracle(draw(WORD_FORM)(prefix), draw(BITS)))
         # windows that straddle the end of the prefix
         start = draw(st.integers(0, len(prefix) + 3))
     return generator, start, start + draw(WIDTHS)
@@ -217,6 +219,10 @@ def test_window_matches_reference(case):
     generator, start, stop = case
     window = generator.window(start, stop)
     assert type(window) is bytes
+    if isinstance(generator, PeriodicBits):
+        assert type(generator.pattern) is bytes
+    if isinstance(generator, OracleBits):
+        assert type(generator.oracle.prefix) is bytes
     assert list(window) == [expected_bit(generator, p)
                             for p in range(start, stop)]
 

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import re
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from cantornorm import (ChampernowneBits, ConfigError, ConstantBits,
                         ConstantHalt, LinearHalt, Oracle, OracleBits,
                         PeriodicBits, ProgramEntry, RationalBits, Registry,
-                        TableBits, TableHalt, halt_from_config,
-                        load_oracle_file)
+                        ResourceLimitError, TableBits, TableHalt,
+                        halt_from_config, load_oracle_file, programs)
 
 from helpers import random_generator, random_halt
 
@@ -405,9 +408,38 @@ class TestOracleFile:
         def deny(self, *args, **kwargs):
             raise PermissionError(13, "Permission denied")
         path = _oracle_file(tmp_path, "01\n")
-        monkeypatch.setattr("pathlib.Path.read_text", deny)
+        monkeypatch.setattr("pathlib.Path.open", deny)
         with pytest.raises(ConfigError, match="cannot read oracle file"):
             load_oracle_file(path)
+
+    def test_endless_pipe_is_refused_after_a_bounded_read(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(programs, "INPUT_LIMIT", 1000)
+        fifo = tmp_path / "oracle.fifo"
+        os.mkfifo(fifo)
+        cut_short = []
+
+        def feed():
+            # 10 MB, far more than the reader may take: a reader that stops
+            # after its bounded read leaves the writer a broken pipe
+            try:
+                with open(fifo, "w") as pipe:
+                    for _ in range(10_000):
+                        pipe.write("01" * 512)
+            except BrokenPipeError:
+                cut_short.append(True)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=re.escape(
+                    f"oracle file {fifo} holds more than 1000 characters")):
+                load_oracle_file(fifo)
+        finally:
+            # release a writer still waiting for its reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(5)
+        assert not writer.is_alive() and cut_short
 
     @pytest.mark.parametrize("load, what", [(load_oracle_file, "oracle"),
                                             (Registry.from_file, "registry")])

@@ -1,8 +1,9 @@
 """Binary words and exact values as `records` builds them: `exact` gives the
 `Fraction` that the constructor would, and reduces a dyadic value without
 `math.gcd`; `_as_word` accepts 0/1 items, bools among them, and names the
-first item that is not one; an oracle file reads as a parser that takes one
-character at a time reads it."""
+first item that is not one; a word given in any form is held as 0/1 bytes;
+an oracle file reads as a parser that takes one character at a time reads
+it."""
 
 import pickle
 import random
@@ -11,10 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cantornorm import ConfigError, Oracle, OracleBits, load_oracle_file
+from cantornorm import (ConfigError, ConstantBits, Oracle, OracleBits,
+                        PeriodicBits, load_oracle_file)
 from cantornorm.records import _as_word, exact
 
-from helpers import reference_oracle_file
+from helpers import WORD_FORMS, reference_bit, reference_oracle_file
 
 
 def same_fraction(value, expected: Fraction) -> None:
@@ -74,10 +76,47 @@ def test_as_word_names_the_first_bad_item(bad):
     assert str(refused.value) == f"bit out of range: {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [2, 5, 255])
+def test_as_word_checks_bytes_as_it_checks_a_tuple(bad):
+    with pytest.raises(ValueError) as refused:
+        _as_word(bytes((0, 1, bad, 7)))
+    assert str(refused.value) == f"bit out of range: {bad!r}"
+
+
 def test_as_word_accepts_bools():
     word = _as_word(iter([True, False, 1, 0]))
-    assert word == (True, False, 1, 0) and type(word) is tuple
-    assert _as_word(()) == ()
+    assert word == b"\1\0\1\0" and type(word) is bytes
+    assert _as_word(()) == b""
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.integers(0, 1),
+       st.integers(0, 50), st.integers(0, 50))
+def test_every_form_of_a_word_builds_one_generator(word, default, start,
+                                                   width):
+    """A word given as a tuple, a list, a one-pass iterator, bools or bytes
+    builds one oracle and one periodic generator, each holding the word as
+    0/1 bytes and reading it as the per-position reference does."""
+    oracles = [Oracle(form(word), default) for form in WORD_FORMS.values()]
+    patterns = ([PeriodicBits(form(word)) for form in WORD_FORMS.values()]
+                if word else [])
+    for built, held in [(oracles, [oracle.prefix for oracle in oracles]),
+                        (patterns, [periodic.pattern for periodic in patterns])]:
+        assert all(b == built[0] and hash(b) == hash(built[0]) for b in built)
+        assert all(type(h) is bytes and h == bytes(word) for h in held)
+    for generator in [*map(OracleBits, oracles), *patterns]:
+        assert list(generator.window(start, start + width)) == [
+            reference_bit(generator, p) for p in range(start, start + width)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Oracle((1.0, 0)), lambda: Oracle((0, 1), default=1.0),
+    lambda: PeriodicBits((0, 1.0)), lambda: ConstantBits(1.0)],
+    ids=["oracle_prefix", "oracle_default", "periodic_pattern", "constant"])
+def test_a_bit_that_is_no_int_is_refused_when_built(build):
+    # 1.0 equals 1, so it passes the count of 0s and 1s; held as it was, it
+    # made every later window, and so every run, raise TypeError
+    with pytest.raises(TypeError):
+        build()
 
 
 def random_oracle_text(rng: random.Random) -> str:
