@@ -211,17 +211,17 @@ class _Line:
 
 def _csv(rows: Iterable[Sequence]) -> Iterator[str]:
     """The CSV lines of `rows`, runs as in `_Table` that keep every entry,
-    each as `csv.writer(lineterminator="\n")` writes it. A cell's CSV text
-    does not depend on its neighbours, except that csv quotes a line's only
-    field when it is empty: a run's cells are rendered beside an empty
-    field, whose ",\n" is cut, and a one-field run's alone."""
+    each as `csv.writer(lineterminator="\n")` writes it, except that a
+    Fraction is written "p/q", as `_frac` writes it, whole ones included. A
+    cell's CSV text does not depend on its neighbours, except that csv
+    quotes a line's only field when it is empty: a run's cells are rendered
+    beside an empty field, whose ",\n" is cut, and a one-field run's alone."""
     import csv  # here, so that JSON output does not import it
     line = csv.writer(_Line, lineterminator="\n").writerow
+    alone = lambda v: _frac(v) if type(v) is Fraction else line((v,))[:-1]
+    beside = lambda v: _frac(v) if type(v) is Fraction else line((v, ""))[:-2]
     return chain.from_iterable(
-        (line(run),) if all(type(v) in _SCALARS for v in run) else
-        _run("", [""] * len(run), run,
-             (lambda v: line((v, ""))[:-2]) if len(run) > 1 else
-             (lambda v: line((v,))[:-1]), "\n")
+        _run("", [""] * len(run), run, beside if len(run) > 1 else alone, "\n")
         for run in rows)
 
 
@@ -258,9 +258,9 @@ def _emit(args: argparse.Namespace, tag: str, header: list[str],
           rows: Iterable[Sequence], fields: Callable[[], dict]) -> None:
     """Write a command's output in the requested format as it renders, to
     `--out` or stdout: `rows` are the CSV rows under `header`, as runs (see
-    `_Table`), and `fields()` returns the JSON object's fields, whose
-    Fractions render as "p/q". Both draw on the same records; `rows` may be
-    a one-pass iterator.
+    `_Table`), and `fields()` returns the JSON object's fields. Both draw on
+    the same records, and both are given values, not text: each Fraction
+    is written "p/q" here, quoted in JSON and bare in CSV.
     """
     # Python caps int->str conversion at 4,300 digits to guard the parsing of
     # untrusted text. Inputs were parsed under that cap before this point;
@@ -352,8 +352,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     rows = sorted(
         ((c.index, s.source_index, c.checkpoint, c.chosen_bit,
-          _frac(c.fraction_low), _frac(witnesses[c.index].fraction_high),
-          _frac(c.deviation), c.witness_passed, c.orbit_agrees)
+          c.fraction_low, witnesses[c.index].fraction_high, c.deviation,
+          c.witness_passed, c.orbit_agrees)
          for s in sources for c in s.records),
         key=lambda row: row[0])
     _emit(args, VERIFY_FORMAT,
@@ -425,17 +425,12 @@ def cmd_discrepancy(args: argparse.Namespace) -> int:
     star = _star_discrepancy(residues, b)
     frequencies = _dyadic_frequencies(residues, b, 4)
 
-    def rows():
-        # a generator, so that `star`, whose denominator may pass the digit
-        # cap that `_emit` lifts, is rendered only there
-        yield ("point", range(len(points)), None, None, None, points)
-        for r in frequencies:
-            yield ("frequency", None, _frac(r.lo), _frac(r.hi), r.hits,
-                   _frac(r.fraction))
-        yield ("star_discrepancy", None, None, None, None, _frac(star))
-
+    rows = [("point", range(len(points)), None, None, None, points),
+            *(("frequency", None, r.lo, r.hi, r.hits, r.fraction)
+              for r in frequencies),
+            ("star_discrepancy", None, None, None, None, star)]
     _emit(args, DISCREPANCY_FORMAT,
-          ["record", "index", "lo", "hi", "hits", "value"], rows(),
+          ["record", "index", "lo", "hi", "hits", "value"], rows,
           lambda: {"x": x, "count": args.count, "q": q.bases,
                    "points": points, "star_discrepancy": star,
                    "star_discrepancy_decimal": float(star),

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -17,10 +18,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cantornorm import (BasicSequence, Registry, basic_sequence_from, block_of,
-                        cantor, cli, construction, limit_function, normality,
-                        programs)
+from cantornorm import (BasicSequence, OracleBits, Registry,
+                        basic_sequence_from, block_of, cantor, cli,
+                        construction, limit_function, normality, programs)
 from cantornorm.normality import WitnessReport
+from cantornorm.programs import load_oracle_file
 from helpers import fraction_orbit
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
@@ -474,6 +476,23 @@ class TestOracleWiring:
         assert cli.main(["build", "--registry", path, "--stages", "2"]) == 1
         assert "requires an oracle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("default", [0, 1])
+    def test_long_mixed_oracle_verified(self, tmp_path, capsys, default):
+        # every bit drawn from one generator, so that the word mixes both
+        # bits; the last one is set, so its value is odd
+        draw = random.Random(0)
+        n = 200_000
+        bits = "".join(draw.choice("01") for _ in range(n - 1)) + "1"
+        assert "0" in bits
+        oracle = tmp_path / "oracle.txt"
+        oracle.write_text(f"{bits}\ndefault={default}\n")
+        code, payload = run_json(
+            ["verify", "--registry", str(INPUTS / "deep_registry.json"),
+             "--oracle", str(oracle), "--stages", "4"], capsys)
+        assert code == 0 and payload["all_passed"] is True
+        assert (OracleBits(load_oracle_file(oracle)).exact_value()
+                == Fraction(int(bits, 2) + default, 2 ** n))
+
 
 class TestParsing:
     def test_unknown_command_is_config_error(self, capsys):
@@ -855,12 +874,13 @@ def test_json_writer_matches_json_dumps(pair):
 @given(run_tables())
 def test_csv_writer_matches_csv_writerows(pair):
     """`cli._csv` writes the lines `csv.writer` writes for the rows its runs
-    stand for, every entry kept."""
+    stand for, every entry kept, and each Fraction as `cli._frac` writes it."""
     runs = pair[0].rows
     expected = io.StringIO()
     with lifted_digit_cap():
         csv.writer(expected, lineterminator="\n").writerows(
-            row for run in runs for row in expand(run))
+            [cli._frac(v) if type(v) is Fraction else v for v in row]
+            for run in runs for row in expand(run))
         assert "".join(cli._csv(runs)) == expected.getvalue()
 
 

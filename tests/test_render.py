@@ -6,8 +6,9 @@ import io
 import json
 import sys
 from array import array
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantornorm import BasicSequence, Ints, cli
 
@@ -85,5 +86,25 @@ def test_long_runs_render_as_json_dumps_and_csv_writer(case):
         records, indent=2, sort_keys=True, default=cli._frac)
     expected = io.StringIO()
     csv.writer(expected, lineterminator="\n").writerows(
-        [r[k] for k in keys] for r in records)
+        [cli._frac(r[k]) if type(r[k]) is Fraction else r[k] for k in keys]
+        for r in records)
     assert "".join(cli._csv(runs)) == expected.getvalue()
+
+
+@given(st.fractions(), st.integers(0, 2), st.integers(0, 2), st.booleans())
+@example(Fraction(2), 0, 0, False)
+@example(Fraction(-3), 1, 1, True)
+@example(Fraction(-1, 2), 0, 2, False)
+def test_a_fraction_renders_as_frac_alone_and_beside_other_cells(
+        v, before, after, column):
+    """The writer turns a Fraction, whole and negative ones included, into
+    `_frac(v)`: bare in CSV, quoted in JSON, as a row's only cell or beside
+    other cells, as a constant or in a column."""
+    text = cli._frac(v)
+    row = ("a",) * before + ([v] if column else v,) + (7,) * after
+    line = ["a"] * before + [text] + ["7"] * after
+    assert "".join(cli._csv([row])) == ",".join(line) + "\n"
+    keys = [f"k{i}" for i in range(len(row))]
+    record = dict(zip(keys, ["a"] * before + [text] + [7] * after))
+    assert "".join(cli._json(cli._Table(keys, [row]))) == json.dumps(
+        [record], indent=2, sort_keys=True)
