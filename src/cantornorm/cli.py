@@ -82,7 +82,7 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 
 def _registry(args: argparse.Namespace) -> Registry:
-    return Registry.from_file(args.registry, oracle_path=args.oracle or None)
+    return Registry.from_file(args.registry, oracle_path=args.oracle)
 
 
 def _frac(x: Fraction) -> str:

@@ -10,10 +10,11 @@ which keeps settlement decidable and every downstream construction exact.
 from __future__ import annotations
 
 import json
+import os
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from pathlib import Path
+from stat import S_ISFIFO, S_ISREG
 
 from .errors import ConfigError, ResourceLimitError
 from .generators import (BitGenerator, Oracle, OracleBits, _check_keys,
@@ -279,14 +280,13 @@ class Registry(Record):
 
     @classmethod
     def from_file(cls, path, oracle_path=None) -> "Registry":
-        p = Path(path)
-        text = _read_input(p, "registry")
+        text = _read_input(path, "registry")
         try:
             cfg = json.loads(text)
         except (ValueError, RecursionError) as exc:
             # a JSONDecodeError, an integer past Python's int->str cap, or
             # nesting deeper than the parser's recursion allows
-            raise ConfigError(f"registry file {p} is not valid JSON: {exc}") from None
+            raise ConfigError(f"registry file {path} is not valid JSON: {exc}") from None
         oracle = load_oracle_file(oracle_path) if oracle_path is not None else None
         return cls.from_config(cfg, oracle=oracle)
 
@@ -307,51 +307,56 @@ def oracle_from_config(cfg) -> Oracle:
     return _read_fields(Oracle, cfg, "oracle")
 
 
-def _read_input(p: Path, what: str) -> str:
-    """The text of a `what` input, a regular file or a pipe; any other path,
-    or an unreadable or non-UTF-8 file, is a ConfigError. A path that the OS
-    refuses even to look up, as too long or under a directory that cannot be
-    searched, is unreadable. A file of more than INPUT_LIMIT characters is a
-    ResourceLimitError, found by one read of at most one character more."""
+def _read_input(path, what: str) -> str:
+    """The text of a `what` input at `path`, a regular file or a pipe, as
+    one `os.stat` finds it; any other path, or an unreadable or non-UTF-8
+    file, is a ConfigError, and every message names `path` as given. A path
+    that does not exist, the empty one among them, or that runs through a
+    regular file, is not found. A path that the OS refuses even to look up,
+    as too long, in a loop of symbolic links or under a directory that
+    cannot be searched, is unreadable. A file of more than INPUT_LIMIT
+    characters is a ResourceLimitError, found by one read of at most one
+    character more."""
     try:
-        if not (p.is_file() or p.is_fifo()):
+        mode = os.stat(path).st_mode
+        if not (S_ISREG(mode) or S_ISFIFO(mode)):
             raise ConfigError(
-                f"{what} file {p} is not a regular file or a pipe"
-                if p.exists() else f"{what} file not found: {p}")
-        with p.open(encoding="utf-8") as file:
+                f"{what} file {path} is not a regular file or a pipe")
+        with open(path, encoding="utf-8") as file:
             text = file.read(INPUT_LIMIT + 1)
+    except (FileNotFoundError, NotADirectoryError):
+        raise ConfigError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} file {p} is not UTF-8: {exc}") from None
+        raise ConfigError(f"{what} file {path} is not UTF-8: {exc}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} file {p}: "
+        raise ConfigError(f"cannot read {what} file {path}: "
                           f"{exc.strerror or exc}") from None
     if len(text) > INPUT_LIMIT:
         raise ResourceLimitError(
-            f"{what} file {p} holds more than {INPUT_LIMIT} characters")
+            f"{what} file {path} holds more than {INPUT_LIMIT} characters")
     return text
 
 
 def load_oracle_file(path) -> Oracle:
     """Parse a bit-prefix file: runs of 0/1 characters on any number of lines
     are concatenated into the prefix, '#' lines are comments, and an optional
-    'default=<0|1>' line fixes the bit beyond the prefix (0 if absent)."""
-    p = Path(path)
+    'default=<0|1>' line fixes the bit beyond the prefix (0 if absent). Spaces
+    and tabs in a run are dropped, and a blank line is a run of no bits."""
     runs: list[str] = []
-    default = 0
-    for lineno, line in enumerate(_read_input(p, "oracle").splitlines(),
-                                  start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    default = "0"
+    lines = _read_input(path, "oracle").splitlines()
+    for lineno, text in enumerate(map(str.strip, lines), start=1):
         if text.startswith("default="):
-            value = text[len("default="):].strip()
-            if value not in ("0", "1"):
-                raise ConfigError(f"{p}:{lineno}: default must be 0 or 1")
-            default = int(value)
-            continue
-        run = text.replace(" ", "").replace("\t", "")
-        # what is left after the leading 0/1s starts at the first bad character
-        if bad := run.lstrip("01")[:1]:
-            raise ConfigError(f"{p}:{lineno}: unexpected character {bad!r}")
-        runs.append(run)
-    return Oracle("".join(runs).encode().translate(_TEXT_TO_BITS), default)
+            default = text[len("default="):].strip()
+            if default not in ("0", "1"):
+                raise ConfigError(f"{path}:{lineno}: default must be 0 or 1")
+        elif not text.startswith("#"):
+            # one C-level pass deletes the 0s, 1s, spaces and tabs of a run's
+            # UTF-8 and leaves the bad characters, whole, as the deleted
+            # bytes occur in no other character's encoding
+            if bad := text.encode().translate(None, b"01 \t"):
+                raise ConfigError(f"{path}:{lineno}: unexpected character "
+                                  f"{bad.decode()[0]!r}")
+            runs.append(text)
+    prefix = "".join(runs).encode().translate(_TEXT_TO_BITS, b" \t")
+    return Oracle(prefix, int(default))

@@ -116,10 +116,14 @@ def exact(numerator: int, denominator: int = 1) -> Fraction:
 
 def _as_word(bits: Sequence[int]) -> bytes:
     """`bits` as 0/1 bytes, each item equal to 0 or 1: `bits` itself when
-    it is bytes, else its items, bools among them, each as one byte. An item
-    that equals 0 or 1 but is no int, as 1.0 is, is refused by `bytes`."""
+    it is bytes, else its items, bools among them, each as one byte. A bytes
+    word is checked by one C-level pass, which deletes its 0s and 1s and
+    leaves a byte only where one is bad; a tuple by counting its 0s and 1s.
+    An item that equals 0 or 1 but is no int, as 1.0 is, is refused by
+    `bytes`."""
     word = bits if isinstance(bits, bytes) else tuple(bits)
-    if word.count(0) + word.count(1) != len(word):
+    if (word.translate(None, b"\0\1") if isinstance(word, bytes)
+            else word.count(0) + word.count(1) != len(word)):
         bad = next(b for b in word if b not in (0, 1))
         raise ValueError(f"bit out of range: {bad!r}")
     return bytes(word)

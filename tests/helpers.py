@@ -274,3 +274,29 @@ def reference_oracle_file(path) -> Oracle:
                 raise ConfigError(
                     f"{path}:{lineno}: unexpected character {ch!r}")
     return Oracle(tuple(prefix), default)
+
+
+def per_line_oracle_file(path) -> Oracle:
+    """`load_oracle_file` as its earlier per-line loop: each line stripped, a
+    blank or '#' line skipped, a 'default=' line read, and any other line's
+    spaces and tabs dropped, the rest checked by what `lstrip("01")` leaves,
+    whose first character is the bad one."""
+    runs: list[str] = []
+    default = 0
+    with open(path, encoding="utf-8") as file:
+        lines = file.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        if text.startswith("default="):
+            value = text[len("default="):].strip()
+            if value not in ("0", "1"):
+                raise ConfigError(f"{path}:{lineno}: default must be 0 or 1")
+            default = int(value)
+            continue
+        run = text.replace(" ", "").replace("\t", "")
+        if bad := run.lstrip("01")[:1]:
+            raise ConfigError(f"{path}:{lineno}: unexpected character {bad!r}")
+        runs.append(run)
+    return Oracle(tuple(int(bit) for bit in "".join(runs)), default)

@@ -65,6 +65,11 @@ class TestBasicSequence:
         with pytest.raises(ValueError):
             BasicSequence.from_exponents((1, 0))
 
+    def test_exponents_of_plain_power_of_two_bases(self):
+        # bases given as ints, not built from exponents, are read back one
+        # bit length at a time
+        assert BasicSequence((2, 8)).exponents == (1, 3)
+
     def test_exponents_need_powers_of_two(self):
         with pytest.raises(ValueError):
             BasicSequence((2, 3)).exponents

@@ -991,6 +991,29 @@ class TestInputFiles:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("what", ["registry", "oracle"])
+    @pytest.mark.parametrize("name", ["loop", "empty", "under a file"])
+    def test_path_that_names_no_file_is_one_error_line(self, tmp_path, capsys,
+                                                       what, name):
+        # the registry holds its own oracle, so an `--oracle` path that went
+        # unread would verify and exit 0
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps(
+            {**ORACLE_REGISTRY, "oracle": {"prefix": "01"}}))
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        path, message = {
+            "loop": (str(loop), f"cannot read {what} file {loop}: "
+                                f"Too many levels of symbolic links"),
+            "empty": ("", f"{what} file not found: "),
+            "under a file": (f"{registry}/x",
+                             f"{what} file not found: {registry}/x")}[name]
+        inputs = (["--registry", path] if what == "registry" else
+                  ["--registry", str(registry), "--oracle", path])
+        assert cli.main(["verify", *inputs, "--stages", "1",
+                         "--out", os.devnull]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("what", ["registry", "oracle"])
     @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
     def test_input_file_of_more_than_the_limit_is_refused(
             self, tmp_path, monkeypatch, capsys, what, extra, code):

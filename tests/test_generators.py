@@ -257,12 +257,14 @@ class TestConfigParsing:
     (lambda: champernowne_digit(2, -1), ValueError),
     (lambda: champernowne_bits(2, -1), ValueError),
     (lambda: champernowne_bits(1, 0), ValueError),
+    (lambda: champernowne_digit(1, 0), ValueError),
     (lambda: TableBits(((1, 1), (1, 0))), ValueError),
     (lambda: TableBits({-1: 1}), ValueError),
     (lambda: ConstantBits().prefix(-1), ValueError),
     (lambda: generator_from_config({"kind": "constant", "bit": 2}), ConfigError),
     (lambda: generator_from_config({"kind": "table", "bits": []}), ConfigError),
-], ids=["digit_index", "digit_count", "digit_base", "duplicate_position",
+], ids=["digit_index", "digit_count", "digit_base", "single_digit_base",
+        "duplicate_position",
         "negative_position", "prefix_length", "config_bit", "config_table"])
 def test_invalid_arguments_refused(call, error):
     with pytest.raises(error):

@@ -5,6 +5,7 @@ sequence's `bases` and `exponents`: it behaves as the tuple of its items."""
 import random
 from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantornorm import BasicSequence, Ints, limit_function
@@ -60,6 +61,13 @@ def test_add_gives_the_tuple_sum(xs, ys):
     assert ints(xs) + tuple(ys) == tuple(xs) + tuple(ys)
     assert ints(xs) + ints(ys) == tuple(xs + ys)
     assert type(ints(xs) + tuple(ys)) is tuple
+    with pytest.raises(TypeError):  # as a tuple plus a non-sequence does
+        ints(xs) + 1
+
+
+@given(items)
+def test_prints_as_its_tuple(xs):
+    assert repr(ints(xs)) == repr(tuple(xs))
 
 
 @given(items, INT64)

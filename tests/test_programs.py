@@ -405,10 +405,12 @@ class TestOracleFile:
             load_oracle_file(tmp_path / "none.txt")
 
     def test_unreadable_file(self, tmp_path, monkeypatch):
-        def deny(self, *args, **kwargs):
+        def deny(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
         path = _oracle_file(tmp_path, "01\n")
-        monkeypatch.setattr("pathlib.Path.open", deny)
+        # the reader opens its file with the built-in `open`, looked up in
+        # its module's globals before the builtins
+        monkeypatch.setattr(programs, "open", deny, raising=False)
         with pytest.raises(ConfigError, match="cannot read oracle file"):
             load_oracle_file(path)
 
@@ -445,9 +447,28 @@ class TestOracleFile:
                                             (Registry.from_file, "registry")])
     def test_path_the_os_refuses_is_unreadable(self, tmp_path, load, what):
         # a name past the file system's 255-byte limit cannot even be
-        # looked up: stat fails with ENAMETOOLONG, which pathlib re-raises
+        # looked up: stat fails with ENAMETOOLONG
         with pytest.raises(ConfigError, match=f"cannot read {what} file "):
             load(tmp_path / ("a" * 300))
+
+    @pytest.mark.parametrize("load, what", [(load_oracle_file, "oracle"),
+                                            (Registry.from_file, "registry")])
+    def test_paths_that_name_no_file(self, tmp_path, load, what):
+        """A symbolic link to itself is unreadable; the empty path and a
+        path through a regular file, a trailing "/" included, are not
+        found. Each message names the path as given."""
+        loop, plain = tmp_path / "loop", tmp_path / "plain.txt"
+        loop.symlink_to(loop)
+        plain.write_text("01\n")
+        for path, message in [
+                (str(loop), f"cannot read {what} file {loop}: "
+                            f"Too many levels of symbolic links"),
+                ("", f"{what} file not found: "),
+                (f"{plain}/x", f"{what} file not found: {plain}/x"),
+                (f"{plain}/", f"{what} file not found: {plain}/")]:
+            with pytest.raises(ConfigError) as refused:
+                load(path)
+            assert str(refused.value) == message
 
     @pytest.mark.parametrize("load", [load_oracle_file, Registry.from_file])
     def test_directory_is_not_reported_missing(self, tmp_path, load):

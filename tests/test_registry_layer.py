@@ -23,7 +23,8 @@ from cantornorm import (ConstantBits, Oracle, OracleBits, Registry,
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
 NOT_LOADED = {"dataclasses", "inspect", "cantornorm.cantor",
               "cantornorm.construction", "cantornorm.normality",
-              "cantornorm.cli", "fractions", "decimal", "_decimal", "numbers"}
+              "cantornorm.cli", "fractions", "decimal", "_decimal", "numbers",
+              "pathlib"}
 
 
 def fresh(code: str, *args: str) -> list[str]:
@@ -109,7 +110,8 @@ def test_exact_values_after_a_registry_load_are_fractions():
 
 def test_cli_command_imports_no_dataclasses_or_typing():
     # the modules a dataclass or a `typing` import brings, each compiled or
-    # run on every start of the program
+    # run on every start of the program, and `pathlib`, which reading the
+    # input files does not need
     (bare,) = fresh("import sys; print(*sys.modules)")
     (after,) = fresh(
         "import os, sys\n"
@@ -121,7 +123,7 @@ def test_cli_command_imports_no_dataclasses_or_typing():
     loaded = set(after.split()) - set(bare.split())
     assert "cantornorm.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "dis", "ast", "tokenize",
-                         "typing"}
+                         "typing", "pathlib"}
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -8,6 +8,7 @@ import sys
 from array import array
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cantornorm import BasicSequence, Ints, cli
@@ -108,3 +109,11 @@ def test_a_fraction_renders_as_frac_alone_and_beside_other_cells(
     record = dict(zip(keys, ["a"] * before + [text] + [7] * after))
     assert "".join(cli._json(cli._Table(keys, [row]))) == json.dumps(
         [record], indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{1}, {"a": [1, {2}]}, [b"01"]])
+def test_json_refuses_an_unsupported_type(obj):
+    """A set or bytes, alone or nested, is no artifact value: `_json`
+    refuses it, as the json module does."""
+    with pytest.raises(TypeError, match="cannot write a .* as JSON"):
+        "".join(cli._json(obj))

@@ -10,13 +10,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantornorm import (ConfigError, ConstantBits, Oracle, OracleBits,
                         PeriodicBits, load_oracle_file)
 from cantornorm.records import _as_word, exact
 
-from helpers import WORD_FORMS, reference_bit, reference_oracle_file
+from helpers import (WORD_FORMS, per_line_oracle_file, reference_bit,
+                     reference_oracle_file)
 
 
 def same_fraction(value, expected: Fraction) -> None:
@@ -77,10 +78,21 @@ def test_as_word_names_the_first_bad_item(bad):
 
 
 @pytest.mark.parametrize("bad", [2, 5, 255])
-def test_as_word_checks_bytes_as_it_checks_a_tuple(bad):
-    with pytest.raises(ValueError) as refused:
-        _as_word(bytes((0, 1, bad, 7)))
-    assert str(refused.value) == f"bit out of range: {bad!r}"
+@given(bits=st.lists(st.integers(0, 1), max_size=40),
+       others=st.lists(st.tuples(st.integers(0, 40), st.integers(2, 255)),
+                       max_size=3), at=st.integers(0, 40))
+def test_as_word_checks_bytes_as_it_checks_a_tuple(bad, bits, others, at):
+    """Bytes holding `bad` and up to three other bad bytes, each at a random
+    place, are refused naming the first bad byte, as the tuple of the same
+    items is."""
+    word = bytearray(bits)
+    for place, byte in [(at, bad), *others]:
+        word.insert(place, byte)
+    first = next(b for b in word if b > 1)
+    for form in (bytes(word), tuple(word)):
+        with pytest.raises(ValueError) as refused:
+            _as_word(form)
+        assert str(refused.value) == f"bit out of range: {first!r}"
 
 
 def test_as_word_accepts_bools():
@@ -150,3 +162,30 @@ def test_oracle_file_matches_a_per_character_parser(tmp_path):
             assert str(refused.value) == str(exc), seed
         else:
             assert load_oracle_file(path) == expected, seed
+
+
+# the characters an oracle file is drawn from: its bits, the spaces, comment
+# mark and keyword it knows, characters it refuses, and line breaks that
+# `str.splitlines` and `str.strip` treat differently from "\n". Bits, spaces
+# and newlines are drawn most often, and a line starting "default=" also
+# whole, so that many files are accepted and many set a default
+ORACLE_CHARACTERS = [*"01 \t\n" * 6, *"#default=", "x", "\u00e9", "\x00", "\r",
+                     "\x0b", "\x0c", "\u2028", "\ndefault=", "\ndefault=1 "]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(ORACLE_CHARACTERS), max_size=60).map("".join))
+def test_oracle_file_matches_the_per_line_loop(tmp_path_factory, text):
+    """One loop over stripped lines, each run checked by one deleting
+    `translate`, reads what the earlier per-line loop read, and refuses
+    what it refused with the same message."""
+    path = tmp_path_factory.getbasetemp() / "per_line_oracle.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = per_line_oracle_file(path)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as refused:
+            load_oracle_file(path)
+        assert str(refused.value) == str(exc)
+    else:
+        assert load_oracle_file(path) == expected
