@@ -2,8 +2,10 @@
 
 Each generator is a total map position -> bit. Where the generated stream
 denotes a rational number (everything except the concatenation sequence),
-`exact_value` returns it, which lets report code cross-check bit
-classifications against true mod-1 orbit points.
+each kind's `_value` gives it as a numerator, a denominator and whether the
+bits end in all ones, in one pass; `exact_value` and `ends_in_ones` are read
+from it, and report code reads it once to cross-check bit classifications
+against true mod-1 orbit points.
 """
 
 from __future__ import annotations
@@ -211,7 +213,8 @@ def _check_position(position: int) -> int:
 
 
 class BitGenerator(ABC):
-    """A total map from positions to bits."""
+    """A total map from positions to bits. A kind defines `window` and
+    `_value`; the other methods are derived from them."""
 
     kind: str = ""
     # the registry/1 fields after `kind`, as `_read_fields` reads them
@@ -237,12 +240,24 @@ class BitGenerator(ABC):
         return list(self.window(0, n))
 
     @abstractmethod
+    def _value(self) -> tuple[int, int, bool] | None:
+        """(numerator, denominator, ends_in_ones) of the stream's value, the
+        sum of bit(n) / 2**(n+1), when it is rational, else None. The pair
+        need not be coprime; the flag is True when all but finitely many
+        bits are 1."""
+
     def exact_value(self) -> Fraction | None:
         """The stream's value as the sum of bit(n) / 2**(n+1), when rational."""
+        value = self._value()
+        return None if value is None else exact(*value[:2])
 
-    @abstractmethod
     def ends_in_ones(self) -> bool:
-        """True when all but finitely many bits are 1."""
+        """True when all but finitely many bits are 1. This computes the
+        whole value, as `_value` gives both at once: on a long word or a far
+        table bit it costs what `exact_value` costs, less the reduction.
+        Nothing in the package calls it on its own."""
+        value = self._value()
+        return value is not None and value[2]
 
     def to_config(self) -> dict:
         return _write_fields(self, {"kind": self.kind})
@@ -260,11 +275,8 @@ class ConstantBits(BitGenerator, Record):
     def window(self, start: int, stop: int) -> bytes:
         return bytes((self.bit,)) * (stop - start)
 
-    def exact_value(self) -> Fraction:
-        return exact(self.bit)
-
-    def ends_in_ones(self) -> bool:
-        return self.bit == 1
+    def _value(self) -> tuple[int, int, bool]:
+        return self.bit, 1, self.bit == 1
 
 
 class PeriodicBits(BitGenerator, Record):
@@ -286,12 +298,9 @@ class PeriodicBits(BitGenerator, Record):
         rotated = self.pattern[k:] + self.pattern[:k]
         return (rotated * (width // len(rotated) + 1))[:max(width, 0)]
 
-    def exact_value(self) -> Fraction:
+    def _value(self) -> tuple[int, int, bool]:
         word = value_of_bits(self.pattern)
-        return exact(word.numerator, 2 ** word.exponent - 1)
-
-    def ends_in_ones(self) -> bool:
-        return 0 not in self.pattern
+        return word.numerator, 2 ** word.exponent - 1, 0 not in self.pattern
 
 
 class TableBits(BitGenerator, Record):
@@ -313,7 +322,7 @@ class TableBits(BitGenerator, Record):
     def window(self, start: int, stop: int) -> bytes:
         return _table_window(self.assignments, self.default, start, stop)
 
-    def exact_value(self) -> Fraction:
+    def _value(self) -> tuple[int, int, bool]:
         # the n bits through the last listed position, then the default d
         # forever: with `word` the n-bit numeral whose 1s mark the listed
         # bits that differ from d, the value is word / 2**n for d = 0 and
@@ -324,10 +333,7 @@ class TableBits(BitGenerator, Record):
         for p, b in self.assignments:
             flips[p // 8] |= (b ^ d) << (7 - p % 8)
         word = int.from_bytes(flips, "big") >> (-n % 8)
-        return exact((1 << n) - word if d else word, 1 << n)
-
-    def ends_in_ones(self) -> bool:
-        return self.default == 1
+        return (1 << n) - word if d else word, 1 << n, d == 1
 
 
 class RationalBits(BitGenerator, Record):
@@ -357,11 +363,8 @@ class RationalBits(BitGenerator, Record):
         return format((r << width) // b, f"0{width}b").encode().translate(
             _TEXT_TO_BITS)
 
-    def exact_value(self) -> Fraction:
-        return exact(self.numerator, self.denominator)
-
-    def ends_in_ones(self) -> bool:
-        return False
+    def _value(self) -> tuple[int, int, bool]:
+        return self.numerator, self.denominator, False
 
 
 class ChampernowneBits(BitGenerator, Record):
@@ -373,11 +376,8 @@ class ChampernowneBits(BitGenerator, Record):
     def window(self, start: int, stop: int) -> bytes:
         return bytes(_champernowne(2, start, stop))
 
-    def exact_value(self) -> None:
+    def _value(self) -> None:
         return None
-
-    def ends_in_ones(self) -> bool:
-        return False
 
 
 class OracleBits(BitGenerator, Record):
@@ -391,12 +391,9 @@ class OracleBits(BitGenerator, Record):
         prefix, default = self.oracle.prefix, bytes((self.oracle.default,))
         return prefix[start:stop] + default * (stop - max(start, len(prefix)))
 
-    def exact_value(self) -> Fraction:
-        word = value_of_bits(self.oracle.prefix)
-        return exact(word.numerator + self.oracle.default, 2 ** word.exponent)
-
-    def ends_in_ones(self) -> bool:
-        return self.oracle.default == 1
+    def _value(self) -> tuple[int, int, bool]:
+        word, default = value_of_bits(self.oracle.prefix), self.oracle.default
+        return word.numerator + default, 2 ** word.exponent, default == 1
 
 
 _KINDS = {cls.kind: cls for cls in (ConstantBits, PeriodicBits, TableBits,

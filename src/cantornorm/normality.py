@@ -13,7 +13,7 @@ from .cantor import orbit_low_counts
 from .construction import LimitFunction
 from .errors import ConfigError
 from .programs import Registry
-from .records import Record
+from .records import Record, exact
 
 
 class FrequencyReport(Record):
@@ -196,12 +196,11 @@ def report_from_witnesses(registry: Registry, root: int, f: LimitFunction,
     """`non_normality_report` of source `root` from its indices' witnesses;
     the cross-check walks the orbit's residues once, to the largest checkpoint."""
     half = Fraction(1, 2)
-    generator = registry.entry(root).generator
-    value = generator.exact_value()
+    value = registry.entry(root).generator._value()
     orbit_fractions = [None] * len(witnesses)
-    if value is not None and not generator.ends_in_ones():
+    if value is not None and not value[2]:
         checkpoints = [w.checkpoint for w in witnesses]
-        lows = orbit_low_counts(value, f.q_exponents, checkpoints)
+        lows = orbit_low_counts(exact(*value[:2]), f.q_exponents, checkpoints)
         orbit_fractions = list(map(Fraction, lows, checkpoints))
     records = tuple(CheckpointRecord(
         w.program_index, w.checkpoint, w.chosen_bit, w.fraction_low,

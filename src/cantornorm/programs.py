@@ -149,13 +149,16 @@ class ProgramEntry(Record):
 
 
 class Registry(Record):
-    """Ordered program entries plus an optional oracle bit source."""
+    """Ordered program entries plus an optional oracle bit source. The loop
+    that validates the entries also records each one's alias root, which
+    `root_of` and `alias_groups` read."""
 
     entries: tuple[ProgramEntry, ...] = ()
     oracle: Oracle | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
+        roots: list[int] = []  # the non-alias index each entry duplicates
         for pos, entry in enumerate(self.entries):
             if entry.index != pos:
                 raise ConfigError(
@@ -169,10 +172,13 @@ class Registry(Record):
                     raise ConfigError(
                         f"entry {pos}: alias must share its target's generator "
                         f"and halting rule")
+            # an alias names an earlier entry, whose root is already known
+            roots.append(pos if entry.alias_of is None else roots[entry.alias_of])
             if (isinstance(entry.generator, OracleBits)
                     and entry.generator.oracle != self.oracle):
                 raise ConfigError(f"entry {pos}: an oracle-bit program must "
                                   f"read the registry's oracle")
+        object.__setattr__(self, "_roots", tuple(roots))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -213,21 +219,16 @@ class Registry(Record):
         return self.entry(e).halt.max_through(max_position)
 
     def root_of(self, e: int) -> int:
-        """The non-alias index an entry ultimately duplicates."""
-        entry = self.entry(e)
-        while entry.alias_of is not None:
-            entry = self.entries[entry.alias_of]
-        return entry.index
+        """The non-alias index an entry ultimately duplicates, as validation
+        recorded it."""
+        return self._roots[self.entry(e).index]
 
     def alias_groups(self) -> dict[int, list[int]]:
-        """Indices grouped by the non-alias entry they duplicate, in one
-        forward pass: an alias names an earlier entry, whose root is known."""
-        roots: list[int] = []
+        """Indices grouped by the non-alias entry they duplicate, roots in
+        order of first appearance."""
         groups: dict[int, list[int]] = {}
-        for entry in self.entries:
-            root = entry.index if entry.alias_of is None else roots[entry.alias_of]
-            roots.append(root)
-            groups.setdefault(root, []).append(entry.index)
+        for i, root in enumerate(self._roots):
+            groups.setdefault(root, []).append(i)
         return groups
 
     @classmethod

@@ -57,6 +57,45 @@ def random_generator(rng: random.Random, allow_ones_tail: bool = True):
     return ChampernowneBits()
 
 
+def expected_value(generator):
+    """`generator.exact_value()` as a `Fraction` built from its fields."""
+    def word(bits):
+        return int("".join(map(str, bits)) or "0", 2)
+    kind = generator.kind
+    if kind == "constant":
+        return Fraction(generator.bit)
+    if kind == "periodic":
+        return Fraction(word(generator.pattern), 2 ** len(generator.pattern) - 1)
+    if kind == "rational":
+        return Fraction(generator.numerator, generator.denominator)
+    if kind == "champernowne":
+        return None
+    # the bits through the last listed one, then the default d forever
+    if kind == "table":
+        n = max((p + 1 for p, _ in generator.assignments), default=0)
+        d = generator.default
+    else:
+        n, d = len(generator.oracle.prefix), generator.oracle.default
+    return Fraction(word(generator.prefix(n)) + d, 2 ** n)
+
+
+def expected_ends_in_ones(generator) -> bool:
+    """`generator.ends_in_ones()` from its fields: a constant 1, a pattern
+    of 1s only, or a table or oracle whose default is 1. A rational's bits
+    take the terminating form, and the concatenation sequence holds 0s
+    arbitrarily far out."""
+    kind = generator.kind
+    if kind == "constant":
+        return generator.bit == 1
+    if kind == "periodic":
+        return all(generator.pattern)
+    if kind == "table":
+        return generator.default == 1
+    if kind == "oracle-bit":
+        return generator.oracle.default == 1
+    return False
+
+
 def random_halt(rng: random.Random, cap: int = 50) -> ConstantHalt | TableHalt:
     # constant/table rules keep every halting time <= cap at every position
     if rng.random() < 0.5:

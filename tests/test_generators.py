@@ -10,7 +10,8 @@ from cantornorm import (ChampernowneBits, ConfigError, ConstantBits, Oracle,
                         generator_from_config, periodic_bits, rational_bits,
                         value_of_bits)
 from cantornorm.generators import _champernowne
-from helpers import fraction_sum_value, shift_or_numerator
+from helpers import (expected_ends_in_ones, expected_value,
+                     fraction_sum_value, random_generator, shift_or_numerator)
 
 # the binary concatenation 0 1 10 11 100 101 110 111, flattened
 CHAMPERNOWNE_2_18 = [0, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
@@ -148,6 +149,20 @@ class TestExactValues:
         tail_ones = OracleBits(Oracle((0,), default=1))
         assert tail_ones.exact_value() == Fraction(1, 2)
         assert tail_ones.ends_in_ones()
+
+    @given(st.randoms(use_true_random=False).map(
+               lambda rng: random_generator(rng, allow_ones_tail=True))
+           | st.builds(lambda prefix, default: OracleBits(Oracle(prefix, default)),
+                       st.lists(st.integers(0, 1), max_size=40),
+                       st.integers(0, 1)))
+    @example(PeriodicBits((1, 1, 1)))
+    @example(TableBits({0: 1, 3: 1, 4: 0, 9: 0}, default=1))
+    @example(OracleBits(Oracle((0, 1, 1, 0), default=1)))
+    def test_value_and_tail_flag_match_the_fields(self, generator):
+        """Each kind's one `_value` yields both public answers: the value
+        and the all-ones-tail flag each match a rule read off the fields."""
+        assert generator.exact_value() == expected_value(generator)
+        assert generator.ends_in_ones() is expected_ends_in_ones(generator)
 
     @given(pattern=st.lists(st.integers(0, 1), min_size=1, max_size=8))
     def test_periodic_value_matches_prefix_limit(self, pattern):

@@ -145,7 +145,18 @@ def test_alias_groups_group_by_root(programs):
     expected: dict = {}
     for i in range(len(reg)):
         expected.setdefault(reg.root_of(i), []).append(i)
-    assert list(reg.alias_groups().items()) == list(expected.items())
+    groups = reg.alias_groups()
+    assert list(groups.items()) == list(expected.items())
+    # each index's root is the key of the group that holds it; a root is
+    # its own root, and an alias has its target's
+    holder = {i: root for root, group in groups.items() for i in group}
+    for entry in reg.entries:
+        i = entry.index
+        assert reg.root_of(i) == holder[i] == (
+            i if entry.alias_of is None else reg.root_of(entry.alias_of))
+    for outside in (-1, len(reg)):
+        with pytest.raises(IndexError):
+            reg.root_of(outside)
 
 
 class TestRegistryValidation:

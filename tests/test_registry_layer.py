@@ -19,6 +19,7 @@ import pytest
 import cantornorm
 from cantornorm import (ConstantBits, Oracle, OracleBits, Registry,
                         TableBits)
+from helpers import expected_value
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "default_inputs"
 NOT_LOADED = {"dataclasses", "inspect", "cantornorm.cantor",
@@ -50,28 +51,6 @@ def test_registry_load_imports_only_the_registry_layer():
     loaded = set(after.split()) - set(bare.split())
     assert {"cantornorm.programs", "cantornorm.records"} <= loaded
     assert not loaded & NOT_LOADED
-
-
-def expected_value(generator):
-    """`generator.exact_value()` as a `Fraction` built from its fields."""
-    def word(bits):
-        return int("".join(map(str, bits)) or "0", 2)
-    kind = generator.kind
-    if kind == "constant":
-        return Fraction(generator.bit)
-    if kind == "periodic":
-        return Fraction(word(generator.pattern), 2 ** len(generator.pattern) - 1)
-    if kind == "rational":
-        return Fraction(generator.numerator, generator.denominator)
-    if kind == "champernowne":
-        return None
-    # the bits through the last listed one, then the default d forever
-    if kind == "table":
-        n = max((p + 1 for p, _ in generator.assignments), default=0)
-        d = generator.default
-    else:
-        n, d = len(generator.oracle.prefix), generator.oracle.default
-    return Fraction(word(generator.prefix(n)) + d, 2 ** n)
 
 
 def test_exact_values_after_a_registry_load_are_fractions():
